@@ -32,6 +32,16 @@ if ! echo "$bench" | grep -q "BenchmarkFetchPort.* 0 allocs/op"; then
     exit 1
 fi
 
+echo "== benchmark smoke: cache lookup stays allocation-free =="
+# Both streams — MRU-line hits on a sequential fetch walk, and a thrash
+# that scans and evicts on every access — must make zero allocations.
+bench=$(go test -run=NONE -bench=BenchmarkCacheAccess -benchtime=1000x -benchmem .)
+echo "$bench"
+if [ "$(echo "$bench" | grep -c "BenchmarkCacheAccess/.* 0 allocs/op")" -ne 2 ]; then
+    echo "ci.sh: cache lookup allocates" >&2
+    exit 1
+fi
+
 echo "== benchmark smoke: predecoded timing loop stays allocation-free =="
 # The steady-state cycle loop (RunPipelineInto over the shared predecode
 # table) must perform zero heap allocations; both ISA configurations are
@@ -74,13 +84,20 @@ echo "== sampled estimator: accuracy gate on one kernel =="
 go test ./internal/sim -run 'TestSampledAccuracy/jpeg' -count=1
 
 echo "== perf trajectory: pipeline benchmark record =="
-# Refreshes BENCH_pipeline.json (schema v5: cycles/sec of the timing
-# loop, the sampled estimator with its measured cycle error, instrs/sec
-# of the functional machine on all three execution paths, the
-# per-kernel Prepare cost, the design-space sweep, and the serving
-# plane's hit/cold req/sec) so successive PRs can chart regressions; a
-# per-entry delta table against the previous record prints first.
-go run ./cmd/fitsbench -pipebench BENCH_pipeline.json
+# Measures the BENCH_pipeline.json rows (schema v5: cycles/sec of the
+# timing loop, the sampled estimator with its measured cycle error,
+# instrs/sec of the functional machine on all three execution paths,
+# the per-kernel Prepare cost, the design-space sweep, and the serving
+# plane's hit/cold req/sec) and prints a per-entry delta table against
+# the committed record. The run writes into a temporary copy, so the
+# tracked file never changes here; refreshing the record is an explicit
+# step:
+#   go run ./cmd/fitsbench -pipebench BENCH_pipeline.json
+pipe_tmp=$(mktemp -d)
+trap 'rm -rf "$pipe_tmp"' EXIT
+cp BENCH_pipeline.json "$pipe_tmp/BENCH_pipeline.json"
+go run ./cmd/fitsbench -pipebench "$pipe_tmp/BENCH_pipeline.json"
+rm -rf "$pipe_tmp"
 
 echo "== trace export: generate + validate round trip =="
 # `powerfits trace` must emit a document its own -check accepts (the

@@ -133,7 +133,7 @@ func main() {
 	batchWindow := fs.Duration("batch-window", 0, "hold each preparation open so near-simultaneous requests share it (serve command)")
 	cacheEntries := fs.Int("cache-entries", 0, "in-memory result-cache entries (0 = 512; serve command)")
 	duration := fs.Duration("duration", 5*time.Second, "load duration when -n is 0 (loadgen command)")
-	hitFrac := fs.Float64("hit", 0.9, "fraction of loadgen requests drawn from the fixed hot request (loadgen command)")
+	hitFrac := fs.Float64("hit", 0.9, "fraction in [0, 1] of loadgen requests drawn from the fixed hot request; 0 sends only cold requests (loadgen command)")
 	nReqs := fs.Int("n", 0, "total loadgen requests (0 = run for -duration; loadgen command)")
 	callTimeout := fs.Duration("timeout", 2*time.Minute, "request timeout (call command)")
 	tf := cli.RegisterFlags(fs)

@@ -62,21 +62,25 @@ func (s Stats) MissRate() float64 {
 // MissesPerMillion returns the paper's Figure 13 metric.
 func (s Stats) MissesPerMillion() float64 { return s.MissRate() * 1e6 }
 
-// way is one line's bookkeeping.
-type way struct {
-	tag   uint32
-	valid bool
-	lru   uint64 // last-use stamp; larger is more recent
-}
-
 // Cache is a set-associative cache with true-LRU replacement. A Cache
 // is not safe for concurrent use: it models one core's private I-cache
 // and belongs to exactly one simulation run (concurrent runs each
 // construct their own, which shares nothing).
+//
+// Each set's tags sit contiguously in tags, so a lookup scans 4 bytes
+// per way; the ways' last-use stamps sit in the parallel lru array, and
+// stamp 0 marks an invalid way (stamps count from 1). The MRU memo
+// names the most recently accessed line as the address range
+// [mruAddr, mruAddr+mruSpan); mruSpan is 0 while no line is memoized.
+// Only a miss evicts, and every miss re-aims the memo at the line it
+// fills, so a repeat of the memo line is a certain hit.
 type Cache struct {
 	cfg       Config
-	sets      [][]way
+	tags      []uint32 // set s occupies [s*assoc, (s+1)*assoc)
+	lru       []uint64 // last-use stamp per way; larger is more recent
 	stamp     uint64
+	mruAddr   uint32 // first byte of the most recently accessed line
+	mruSpan   uint32 // LineBytes, or 0 while no line is memoized
 	lineShift uint
 	setShift  uint
 	setMask   uint32
@@ -88,18 +92,19 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg}
 	nsets := cfg.Sets()
-	c.sets = make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
+	c := &Cache{
+		cfg:     cfg,
+		tags:    make([]uint32, nsets*cfg.Assoc),
+		lru:     make([]uint64, nsets*cfg.Assoc),
+		setMask: uint32(nsets - 1),
 	}
 	for s := 1; s < cfg.LineBytes; s <<= 1 {
 		c.lineShift++
 	}
-	c.setMask = uint32(nsets - 1)
-	c.setShift = uint(log2(nsets))
+	for s := 1; s < nsets; s <<= 1 {
+		c.setShift++
+	}
 	return c, nil
 }
 
@@ -121,46 +126,60 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Access looks up addr, allocating on miss (LRU victim), and reports
 // whether it hit.
 func (c *Cache) Access(addr uint32) bool {
-	c.stamp++
 	c.stats.Accesses++
-	line := addr >> c.lineShift
-	set := c.sets[line&c.setMask]
-	tag := line >> c.setShift
+	if addr-c.mruAddr >= c.mruSpan {
+		return c.lookup(addr)
+	}
+	// The memo line already carries the newest stamp in the cache, so
+	// re-stamping it would not change any LRU order.
+	return true
+}
 
-	// Hit scan first: the common case touches nothing but the matching
-	// way's stamp. Victim selection runs only on the miss path.
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == tag {
-			w.lru = c.stamp
+// lookup is Access past the MRU memo: the set scan, and on a miss the
+// LRU fill. Keeping it out of Access leaves the memo hit inlinable.
+func (c *Cache) lookup(addr uint32) bool {
+	c.stamp++
+	line := addr >> c.lineShift
+	base := int(line&c.setMask) * c.cfg.Assoc
+	tag := line >> c.setShift
+	set := c.tags[base : base+c.cfg.Assoc]
+	for i, t := range set {
+		if t == tag && c.lru[base+i] != 0 {
+			c.lru[base+i] = c.stamp
+			c.memo(line)
 			return true
 		}
 	}
+	// Miss: the victim is the way with the oldest stamp, so invalid
+	// ways (stamp 0) fill before any valid line is evicted.
+	stamps := c.lru[base : base+c.cfg.Assoc]
 	victim := 0
-	var victimLRU uint64 = ^uint64(0)
-	for i := range set {
-		w := &set[i]
-		if !w.valid {
+	for i, s := range stamps {
+		if s < stamps[victim] {
 			victim = i
-			victimLRU = 0
-		} else if w.lru < victimLRU {
-			victim = i
-			victimLRU = w.lru
 		}
 	}
 	c.stats.Misses++
-	set[victim] = way{tag: tag, valid: true, lru: c.stamp}
+	set[victim] = tag
+	stamps[victim] = c.stamp
+	c.memo(line)
 	return false
 }
 
-// Contains reports whether addr is resident without touching LRU state
-// or statistics.
+// memo aims the MRU memo at line.
+func (c *Cache) memo(line uint32) {
+	c.mruAddr = line << c.lineShift
+	c.mruSpan = uint32(c.cfg.LineBytes)
+}
+
+// Contains reports whether addr is resident without touching LRU state,
+// the MRU memo or statistics.
 func (c *Cache) Contains(addr uint32) bool {
 	line := addr >> c.lineShift
-	set := c.sets[line&c.setMask]
-	tag := line >> uint(log2(len(c.sets)))
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	base := int(line&c.setMask) * c.cfg.Assoc
+	tag := line >> c.setShift
+	for i, t := range c.tags[base : base+c.cfg.Assoc] {
+		if t == tag && c.lru[base+i] != 0 {
 			return true
 		}
 	}
@@ -169,22 +188,11 @@ func (c *Cache) Contains(addr uint32) bool {
 
 // Reset invalidates every line and clears statistics.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = way{}
-		}
-	}
+	clear(c.tags)
+	clear(c.lru)
 	c.stats = Stats{}
 	c.stamp = 0
-}
-
-func log2(n int) int {
-	k := 0
-	for n > 1 {
-		n >>= 1
-		k++
-	}
-	return k
+	c.mruSpan = 0
 }
 
 // AccessCounts returns the cumulative access and miss counts, making

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"powerfits/internal/cache"
@@ -167,6 +168,50 @@ func TestPeakWindow(t *testing.T) {
 	}
 	if avg := r.AvgPowerW(); r.PeakPowerW <= avg {
 		t.Errorf("peak %f not above average %f", r.PeakPowerW, avg)
+	}
+}
+
+// TestPeakMatchesNaiveWindow checks the meter's running window against
+// a reference that re-sums every window from the per-cycle energies, for
+// runs shorter than, equal to and longer than the peak window. The
+// default calibration's coefficients are dyadic, so both sums are exact
+// and must agree bit for bit.
+func TestPeakMatchesNaiveWindow(t *testing.T) {
+	geom := cache.SA1100ICacheHalf()
+	kb := float64(geom.SizeBytes) / 1024
+	for _, window := range []int{1, 3, 8} {
+		cal := DefaultCalibration()
+		cal.PeakWindow = window
+		idle := (cal.InternalBasePJ + cal.InternalPJPerKB*kb) + cal.LeakPJPerKBCycle*kb
+		for _, n := range []int{1, window - 1, window, window + 1, 5*window + 3, 200} {
+			if n <= 0 {
+				continue
+			}
+			m := MustNewMeter(geom, cal)
+			rng := rand.New(rand.NewSource(int64(100*window + n)))
+			cycles := make([]float64, n)
+			for c := range cycles {
+				for k := rng.Intn(3); k > 0; k-- {
+					m.Access(rng.Uint32()&^3, []byte{1, 2, 3, 4}, rng.Intn(8) == 0)
+					cycles[c] += m.LastAccessPJ()
+				}
+				cycles[c] += idle
+				m.Tick()
+			}
+			w := min(n, window)
+			var peak float64
+			for end := w; end <= n; end++ {
+				var sum float64
+				for _, e := range cycles[end-w : end] {
+					sum += e
+				}
+				peak = max(peak, sum)
+			}
+			want := peak / float64(w) * 1e-12 * cal.FreqHz
+			if got := m.Report().PeakPowerW; got != want {
+				t.Errorf("window %d, %d cycles: peak %v W, naive %v W", window, n, got, want)
+			}
+		}
 	}
 }
 

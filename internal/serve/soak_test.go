@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -100,5 +101,43 @@ func TestServeSoakAtSaturation(t *testing.T) {
 	hits, storeHits, misses := svc.CacheStats()
 	if hits == 0 || misses == 0 {
 		t.Fatalf("cache stats = %d hits / %d store / %d misses", hits, storeHits, misses)
+	}
+}
+
+// TestLoadHitFractionBounds: a zero hit fraction issues only cold
+// requests (it is not a stand-in for a default mix), and fractions
+// outside [0, 1] are refused before any request is sent.
+func TestLoadHitFractionBounds(t *testing.T) {
+	svc := New(Options{Workers: 2})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	rep, err := RunLoad(context.Background(), LoadOptions{
+		URL:         srv.URL + "/synth",
+		Workers:     2,
+		Requests:    6,
+		HitFraction: 0,
+		Kernel:      "crc32",
+		Scale:       1,
+		Sampled:     true,
+		CheckBodies: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 {
+		t.Fatalf("%d errors; first: %s", rep.Errors, rep.FirstError)
+	}
+	if rep.OK != 6 || rep.Cold != 6 || rep.Hits != 0 {
+		t.Fatalf("HitFraction 0: %d ok, %d cold, %d hits; want 6 cold, 0 hits", rep.OK, rep.Cold, rep.Hits)
+	}
+	if hits, storeHits, _ := svc.CacheStats(); hits != 0 || storeHits != 0 {
+		t.Fatalf("HitFraction 0 reached the result cache: %d hits, %d store hits", hits, storeHits)
+	}
+
+	for _, frac := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := RunLoad(context.Background(), LoadOptions{URL: srv.URL + "/synth", HitFraction: frac}); err == nil {
+			t.Errorf("HitFraction %v accepted", frac)
+		}
 	}
 }
