@@ -252,9 +252,10 @@ func BenchmarkTimingPipeline(b *testing.B) {
 // stopped, so ns/op is the cost of one full pipeline run over the shared
 // predecode table and allocs/op must be exactly 0 — the steady-state
 // cycle loop performs no heap allocations (Machine.Output is pre-sized
-// for the kernel's emitted words). cycles/s is the headline throughput
-// the predecode layer is gated on (see DESIGN.md §9).
-func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
+// for the kernel's emitted words), with or without the event sink that
+// sink returns per run. cycles/s is the headline throughput the
+// predecode layer is gated on (see DESIGN.md §9).
+func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, sink func() tracing.EventSink) {
 	cal := power.DefaultCalibration()
 	pc := cpu.DefaultPipeConfig()
 	prog, im, dec := s.Prog, s.ArmImage, s.ArmDecoded
@@ -272,8 +273,9 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 		port := sim.NewFetchPort(c, meter, im, pc.BlockBytes)
 		m := cpu.New(prog, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
+		snk := sink()
 		b.StartTimer()
-		if err := cpu.RunPipelineInto(m, pc, port, dec, &res); err != nil {
+		if err := cpu.RunPipelineInto(m, pc, port, dec, &res, snk); err != nil {
 			b.Fatal(err)
 		}
 		cycles += res.Cycles
@@ -282,6 +284,9 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 }
+
+// noSink is the untraced run's sink.
+func noSink() tracing.EventSink { return nil }
 
 // BenchmarkPipelineSteadyState is the pipeline's cycles/sec benchmark
 // pair, one per ISA: the dominant inner loop of every experiment. ci.sh
@@ -293,62 +298,27 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("ARM16", func(b *testing.B) { benchSteadyState(b, s, sim.ARM16) })
-	b.Run("FITS8", func(b *testing.B) { benchSteadyState(b, s, sim.FITS8) })
+	b.Run("ARM16", func(b *testing.B) { benchSteadyState(b, s, sim.ARM16, noSink) })
+	b.Run("FITS8", func(b *testing.B) { benchSteadyState(b, s, sim.FITS8, noSink) })
 }
 
-// benchTracedSteadyState is benchSteadyState through the tracing entry
-// point: the same timing loop with an event sink attached (or the nil
-// sink, which dispatches straight back into the untraced loop).
-func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink func() tracing.EventSink) {
-	cal := power.DefaultCalibration()
-	pc := cpu.DefaultPipeConfig()
-	prog, im, dec := s.Prog, s.ArmImage, s.ArmDecoded
-	if cfg.ISA == sim.ISAFITS {
-		prog, im, dec = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded
-	}
-	var res cpu.PipeResult
-	b.ReportAllocs()
-	b.ResetTimer()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c := cache.MustNew(cfg.Cache)
-		meter := power.MustNewMeter(cfg.Cache, cal)
-		port := sim.NewFetchPort(c, meter, im, pc.BlockBytes)
-		m := cpu.New(prog, cpu.ImageLayout(im))
-		m.Output = make([]uint32, 0, 64)
-		sink := mkSink()
-		b.StartTimer()
-		if err := cpu.RunPipelineTraced(m, pc, port, dec, &res, sink); err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
-}
-
-// BenchmarkPipelineTraced measures the tracing entry point of the
-// timing loop. NilSink is the overhead contract ci.sh gates: a nil
-// sink must dispatch into the untraced loop and stay at 0 allocs/op
-// (tracing costs an untraced run exactly one branch). Ring captures
-// every event into a preallocated ring — the sink Emit path is itself
+// BenchmarkPipelineTraced measures the cycle loop's event hook on
+// FITS8. NilSink is the untraced loop (every emission point is a
+// skipped nil check) and must stay at 0 allocs/op. Ring captures every
+// event into a preallocated ring — the sink Emit path is itself
 // allocation-free, so this too must report 0 allocs/op; its ns/op vs
-// NilSink is the tracing overhead quoted in DESIGN.md §12.
+// NilSink is the tracing overhead quoted in DESIGN.md §12. ci.sh gates
+// both at 0 allocs/op.
 func BenchmarkPipelineTraced(b *testing.B) {
 	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("NilSink", func(b *testing.B) {
-		benchTracedSteadyState(b, s, sim.FITS8, func() tracing.EventSink { return nil })
-	})
+	b.Run("NilSink", func(b *testing.B) { benchSteadyState(b, s, sim.FITS8, noSink) })
 	b.Run("Ring", func(b *testing.B) {
 		ring := tracing.MustNewRing(1 << 16)
 		b.ResetTimer()
-		benchTracedSteadyState(b, s, sim.FITS8, func() tracing.EventSink { return ring })
+		benchSteadyState(b, s, sim.FITS8, func() tracing.EventSink { return ring })
 	})
 }
 

@@ -53,14 +53,15 @@ if [ "$(echo "$bench" | grep -c "BenchmarkPipelineSteadyState/.* 0 allocs/op")" 
     exit 1
 fi
 
-echo "== benchmark smoke: tracing entry point stays allocation-free =="
-# The traced pipeline entry must cost nothing when untraced (nil sink
-# dispatches back into the plain loop) and nothing per event when a
-# ring sink is attached; both paths are gated at 0 allocs/op.
+echo "== benchmark smoke: cycle-loop event hook stays allocation-free =="
+# The one cycle loop emits through a nil-checked sink: with no sink
+# every emission point is a skipped check, and with a ring sink each
+# event is a store into a preallocated buffer; both paths are gated at
+# 0 allocs/op.
 bench=$(go test -run=NONE -bench=BenchmarkPipelineTraced -benchtime=1x -benchmem .)
 echo "$bench"
 if [ "$(echo "$bench" | grep -c "BenchmarkPipelineTraced/.* 0 allocs/op")" -ne 2 ]; then
-    echo "ci.sh: traced pipeline entry allocates" >&2
+    echo "ci.sh: cycle-loop event hook allocates" >&2
     exit 1
 fi
 

@@ -16,7 +16,7 @@
 //	fitsbench -metrics suite.json -phases suite.csv [-window N]
 //	fitsbench -cpuprofile cpu.pprof -memprofile mem.pprof -trace run.trace
 //	fitsbench -pipebench BENCH_pipeline.json   # timing-loop perf trajectory record (diffs vs an existing record)
-//	fitsbench -superblocks -sample    # fast path: fused-superblock profiling + sampled timing
+//	fitsbench -sample                 # fast path: sampled timing estimator
 //	fitsbench -telemetry :6060        # live /metrics, /healthz, /progress, /debug/pprof while the run is up
 //	fitsbench -log-level debug -log-json   # structured engine/preparation logs
 package main
@@ -149,7 +149,6 @@ func main() {
 		pipeKernel  = fs.String("pipebench-kernel", "crc32", "kernel the -pipebench loop runs")
 		sweepKernel = fs.String("sweep", "", "run the design-space exploration engine over this kernel's default grid and print the Pareto frontier, then exit (incremental vs -sweep-dir; -scale/-j/-json apply)")
 		sweepDir    = fs.String("sweep-dir", "", "run store the -sweep probes and fills (default .powerfits/runs)")
-		superblocks = fs.Bool("superblocks", false, "profile kernels through the fused superblock executor (identical profiles, faster preparation)")
 		sample      = fs.Bool("sample", false, "replace full pipeline runs with the sampled timing estimator (exact outputs, ≤2% validated cycle/energy error)")
 	)
 	tf := cli.RegisterFlags(fs)
@@ -157,6 +156,9 @@ func main() {
 
 	if *sample && (*metricsPath != "" || *phasesPath != "") {
 		fatal(fmt.Errorf("-sample is incompatible with -metrics/-phases: phase series require a full detailed run"))
+	}
+	if err := cli.CheckWindow(*window, *metricsPath, *phasesPath); err != nil {
+		fatal(err)
 	}
 
 	var err error
@@ -207,16 +209,15 @@ func main() {
 
 	if needSuite {
 		man := metrics.NewManifest("fitsbench")
-		var observe sim.ObserveOptions
+		var observeWindow int
 		if *metricsPath != "" || *phasesPath != "" {
-			observe.WindowCycles = *window
+			observeWindow = *window
 		}
 		tele.Begin(len(kernels.All()))
 		suite, err := experiments.RunSuite(experiments.Options{
 			Scale: *scale, Workers: *jobs,
 			Progress: experiments.MultiProgress(progress, tele.Progress()),
-			Log:      log, Observe: observe,
-			Superblocks: *superblocks, Sampled: *sample})
+			Log:      log, Window: observeWindow, Sampled: *sample})
 		if err != nil {
 			fatal(err)
 		}

@@ -105,7 +105,7 @@ func pipeBenchLoop(b *testing.B, s *sim.Setup, cfg sim.Config) {
 		m := cpu.New(prog, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		b.StartTimer()
-		if err := cpu.RunPipelineInto(m, pc, port, dec, &res); err != nil {
+		if err := cpu.RunPipelineInto(m, pc, port, dec, &res, nil); err != nil {
 			b.Fatal(err)
 		}
 		cycles += res.Cycles

@@ -65,6 +65,16 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
+// CheckWindow validates the -window flag both binaries share: a phase
+// series needs a positive window whenever -metrics or -phases requests
+// one (a zero or negative window would silently record no samples).
+func CheckWindow(window int, metricsPath, phasesPath string) error {
+	if window <= 0 && (metricsPath != "" || phasesPath != "") {
+		return fmt.Errorf("-window must be positive with -metrics/-phases (got %d)", window)
+	}
+	return nil
+}
+
 // fallbackLogger is the logger used before flag parsing has produced a
 // configured one: text handler, info level, on the sanctioned stream.
 func fallbackLogger(tool string) *slog.Logger {

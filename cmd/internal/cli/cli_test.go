@@ -133,3 +133,27 @@ func TestFlagsStart(t *testing.T) {
 		t.Fatalf("scoped gauge %v, want 0.5", got)
 	}
 }
+
+// TestCheckWindow pins the shared -window check: a non-positive window
+// is refused exactly when -metrics or -phases asks for a phase series.
+func TestCheckWindow(t *testing.T) {
+	cases := []struct {
+		window          int
+		metrics, phases string
+		ok              bool
+	}{
+		{4096, "m.json", "", true},
+		{1, "", "p.csv", true},
+		{0, "", "", true},
+		{-5, "", "", true},
+		{0, "", "p.csv", false},
+		{-5, "m.json", "", false},
+		{0, "m.json", "p.csv", false},
+	}
+	for _, c := range cases {
+		err := CheckWindow(c.window, c.metrics, c.phases)
+		if (err == nil) != c.ok {
+			t.Errorf("CheckWindow(%d, %q, %q) = %v, want ok=%v", c.window, c.metrics, c.phases, err, c.ok)
+		}
+	}
+}

@@ -10,7 +10,7 @@
 //	powerfits disasm -kernel crc32 [-fits]
 //	powerfits dump   -kernel crc32           # assembly text (re-assembles with `asm`)
 //	powerfits run    -kernel crc32 [-config FITS8] [-scale N]
-//	                 [-sample] [-superblocks]        # sampled timing / fused profiling
+//	                 [-sample]                       # sampled timing estimator
 //	                 [-metrics out.json] [-phases out.csv] [-window N]
 //	                 [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace run.trace]
 //	powerfits report -in out.json [-top N]          # render a -metrics export
@@ -117,7 +117,6 @@ func main() {
 	listRuns := fs.Bool("list", false, "list the archived runs (archive command)")
 	savePath := fs.String("save", "", "archive the synthesis trace to this file (explain command)")
 	opN := fs.Int("op", -1, "explain one opcode point of the final spec (explain command)")
-	superblocks := fs.Bool("superblocks", false, "profile through the fused superblock executor (identical profile, faster preparation)")
 	sample := fs.Bool("sample", false, "use the sampled timing estimator instead of a full pipeline run (run/asm/trace/profile commands)")
 	outPath := fs.String("o", "", "output path (trace/profile commands; default stdout)")
 	limit := fs.Int("limit", 1<<16, "event ring capacity: the trace keeps the most recent N events (trace command)")
@@ -138,6 +137,9 @@ func main() {
 	callTimeout := fs.Duration("timeout", 2*time.Minute, "request timeout (call command)")
 	tf := cli.RegisterFlags(fs)
 	log = cli.Parse("powerfits", fs, tf, os.Args[2:])
+	if err := cli.CheckWindow(*window, *metricsPath, *phasesPath); err != nil {
+		fatal(err)
+	}
 
 	var err error
 	tele, err = tf.Start(log, nil)
@@ -239,14 +241,14 @@ func main() {
 			fatal(perr)
 		}
 		s, err = sim.PrepareWith(userKernel(p), 1, sim.PrepareOptions{
-			Synth: synth.DefaultOptions(), Superblocks: *superblocks, Log: log})
+			Synth: synth.DefaultOptions(), Log: log})
 	} else {
 		k, kerr := kernels.Get(*kernel)
 		if kerr != nil {
 			fatal(kerr)
 		}
 		s, err = sim.PrepareWith(k, *scale, sim.PrepareOptions{
-			Synth: synth.DefaultOptions(), Superblocks: *superblocks, Log: log})
+			Synth: synth.DefaultOptions(), Log: log})
 	}
 	if err != nil {
 		fatal(err)
@@ -424,19 +426,17 @@ func run(s *sim.Setup, cfgName string, out runOutputs) {
 	cal := power.DefaultCalibration()
 	tele.Begin(1)
 	started := time.Now()
-	var r *sim.Result
+	var opt sim.RunOptions
+	if out.Metrics != "" || out.Phases != "" {
+		opt.Window = out.Window
+	}
 	if out.Sample {
-		if out.Metrics != "" || out.Phases != "" {
+		if opt.Window != 0 {
 			fatal(fmt.Errorf("-sample is incompatible with -metrics/-phases: phase series require a full detailed run"))
 		}
-		r, err = s.RunSampled(cfg, cal, sim.SampleOptions{})
-	} else {
-		var opt sim.ObserveOptions
-		if out.Metrics != "" || out.Phases != "" {
-			opt.WindowCycles = out.Window
-		}
-		r, err = s.RunObserved(cfg, cal, opt)
+		opt.Sample = &sim.SampleOptions{}
 	}
+	r, err := s.RunWith(cfg, cal, opt)
 	if err != nil {
 		fatal(err)
 	}

@@ -210,7 +210,7 @@ type Compiled struct {
 
 	// addrs and ends are the per-instruction encoded address ranges
 	// flattened out of the layout, so the superblock fetch-stream
-	// witness (RunSuperblocksWarm) reads two slices instead of making
+	// witness (RunSuperblocksN) reads two slices instead of making
 	// two interface calls per executed batch.
 	addrs []uint32
 	ends  []uint32

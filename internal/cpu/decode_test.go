@@ -104,7 +104,7 @@ func TestPredecodeRecords(t *testing.T) {
 }
 
 // TestDecodedPathEquivalence pins bit-identical timing: the wrapper
-// (which predecodes internally), an explicitly shared table, and a
+// (which predecodes internally) and a shared table with a
 // caller-provided result must produce exactly the same PipeResult,
 // including the CPI stack, with misses injected.
 func TestDecodedPathEquivalence(t *testing.T) {
@@ -121,20 +121,13 @@ func TestDecodedPathEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaDecoded, err := RunPipelineDecoded(New(p, ImageLayout(im)), cfg, mkPort(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var viaInto PipeResult
 	viaInto.Cycles = 123 // must be reset by the run
-	if err := RunPipelineInto(New(p, ImageLayout(im)), cfg, mkPort(), d, &viaInto); err != nil {
+	if err := RunPipelineInto(New(p, ImageLayout(im)), cfg, mkPort(), d, &viaInto, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(viaWrapper, viaDecoded) {
-		t.Errorf("wrapper vs decoded:\n%+v\n%+v", viaWrapper, viaDecoded)
-	}
-	if !reflect.DeepEqual(*viaDecoded, viaInto) {
-		t.Errorf("decoded vs into:\n%+v\n%+v", *viaDecoded, viaInto)
+	if !reflect.DeepEqual(*viaWrapper, viaInto) {
+		t.Errorf("wrapper vs into:\n%+v\n%+v", *viaWrapper, viaInto)
 	}
 }
 
@@ -151,11 +144,11 @@ func TestDecodedMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := Predecode(p2, ImageLayout(im2))
-	if _, err := RunPipelineDecoded(New(p1, ImageLayout(im1)), DefaultPipeConfig(), nil, wrong); err == nil {
+	var res PipeResult
+	if err := RunPipelineInto(New(p1, ImageLayout(im1)), DefaultPipeConfig(), nil, wrong, &res, nil); err == nil {
 		t.Error("foreign decoded table accepted")
 	}
-	var res PipeResult
-	if err := RunPipelineInto(New(p1, ImageLayout(im1)), DefaultPipeConfig(), nil, nil, &res); err == nil {
+	if err := RunPipelineInto(New(p1, ImageLayout(im1)), DefaultPipeConfig(), nil, nil, &res, nil); err == nil {
 		t.Error("nil decoded table accepted")
 	}
 }
@@ -183,7 +176,7 @@ func TestPipelineSteadyStateZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, func() {
 		m := machines[next]
 		next++
-		if err := RunPipelineInto(m, cfg, NullFetchPort, d, &res); err != nil {
+		if err := RunPipelineInto(m, cfg, NullFetchPort, d, &res, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

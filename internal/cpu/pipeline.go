@@ -132,54 +132,39 @@ func (r *PipeResult) IPC() float64 {
 // RunPipeline executes the machine's program through the timing model,
 // fetching encoded instruction bytes through port. The machine must be
 // freshly constructed with the image layout of the target encoding.
-// Concurrent RunPipeline calls are safe as long as each has its own
-// machine and port: the run mutates only those two (the program and
-// layout behind them are read-only).
+// Concurrent runs are safe as long as each has its own machine and
+// port: the run mutates only those two (the program and layout behind
+// them are read-only).
 //
-// RunPipeline predecodes the program on entry; callers running the same
-// image repeatedly should Predecode once and use RunPipelineDecoded.
+// RunPipeline predecodes the program on every call; it is a convenience
+// for tests and one-off runs. Callers running the same image repeatedly
+// Predecode once and call RunPipelineInto.
 func RunPipeline(m *Machine, cfg PipeConfig, port FetchPort) (*PipeResult, error) {
-	return RunPipelineDecoded(m, cfg, port, Predecode(m.prog, m.layout))
-}
-
-// RunPipelineDecoded is RunPipeline over a prebuilt predecode table,
-// which must have been built from the machine's exact program and
-// layout. The table is read-only: any number of concurrent runs may
-// share one.
-func RunPipelineDecoded(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded) (*PipeResult, error) {
 	var res PipeResult
-	if err := RunPipelineInto(m, cfg, port, d, &res); err != nil {
+	if err := RunPipelineInto(m, cfg, port, Predecode(m.prog, m.layout), &res, nil); err != nil {
 		return nil, err
 	}
 	return &res, nil
 }
 
-// RunPipelineInto is RunPipelineDecoded writing into a caller-provided
-// result (which it resets first). The run itself performs no heap
+// RunPipelineInto runs the machine to halt over a prebuilt predecode
+// table, writing into a caller-provided result (which it resets first).
+// The table must have been built from the machine's exact program and
+// layout; it is read-only, so any number of concurrent runs may share
+// one.
+//
+// A non-nil sink receives every fetch, miss, zero-issue cycle, branch
+// and mispredict as a cycle-stamped event record; the result is
+// bit-identical with or without one. The run itself performs no heap
 // allocations, so a caller that reuses res — and pre-sizes
 // Machine.Output when the program emits — keeps the whole timing loop
 // allocation-free (pinned by TestPipelineSteadyStateZeroAlloc and the
-// ci.sh benchmark smoke).
-func RunPipelineInto(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult) error {
+// ci.sh benchmark smokes, untraced and into a ring sink).
+func RunPipelineInto(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult, sink tracing.EventSink) error {
 	var p PipelineRun
-	if err := p.init(m, cfg, port, d, res); err != nil {
+	if err := p.init(m, cfg, port, d, res, sink); err != nil {
 		return err
 	}
-	return p.RunUntil(math.MaxUint64)
-}
-
-// RunPipelineTraced is RunPipelineInto with a tracing.EventSink
-// attached: every fetch, miss, zero-issue cycle, branch and mispredict
-// is emitted as a cycle-stamped event record. A nil sink routes through
-// the identical untraced loop, so installing "no tracing" costs only
-// the guard branch at RunUntil's entry (pinned at 0 allocs/op by
-// BenchmarkPipelineTracedNilSink and the ci.sh smoke).
-func RunPipelineTraced(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult, sink tracing.EventSink) error {
-	var p PipelineRun
-	if err := p.init(m, cfg, port, d, res); err != nil {
-		return err
-	}
-	p.sink = sink
 	return p.RunUntil(math.MaxUint64)
 }
 
@@ -187,7 +172,8 @@ func RunPipelineTraced(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, r
 // state machine. RunPipelineInto drives one from start to halt in a
 // single call; the sampled simulator interleaves bounded RunUntil
 // windows with functional fast-forwards, calling Resync after each
-// fast-forward to discard the stale fetch and interlock state.
+// fast-forward to discard the stale fetch and interlock state, and the
+// phase-series recorder advances one in RunCycles windows.
 //
 // The zero value is not usable; construct with NewPipelineRun (or, to
 // stay off the heap, embed the struct and call init via a full run
@@ -222,26 +208,27 @@ type PipelineRun struct {
 
 	cycle uint64
 
-	// sink, when non-nil, routes RunUntil through the traced mirror of
-	// the cycle loop (pipeline_traced.go). Appended after the hot
-	// fields: inserting fields ahead of them has cost real throughput
-	// before (see the observedPort note in internal/sim).
+	// sink, when non-nil, receives the cycle loop's events. The loop
+	// reads it through p at each guarded emission point rather than
+	// caching it in a local. It is appended after the hot fields:
+	// inserting fields ahead of them has cost real throughput before.
 	sink tracing.EventSink
 }
 
 // NewPipelineRun validates the inputs and returns a run positioned at
-// the machine's current PC, ready for RunUntil. res receives the
-// accumulated timing result; it is reset here and kept current at every
-// RunUntil return.
-func NewPipelineRun(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult) (*PipelineRun, error) {
+// the machine's current PC, ready for RunUntil or RunCycles. res
+// receives the accumulated timing result; it is reset here and kept
+// current at every return. A non-nil sink receives the run's events, as
+// in RunPipelineInto.
+func NewPipelineRun(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult, sink tracing.EventSink) (*PipelineRun, error) {
 	p := new(PipelineRun)
-	if err := p.init(m, cfg, port, d, res); err != nil {
+	if err := p.init(m, cfg, port, d, res, sink); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func (p *PipelineRun) init(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult) error {
+func (p *PipelineRun) init(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult, sink tracing.EventSink) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -273,17 +260,12 @@ func (p *PipelineRun) init(m *Machine, cfg PipeConfig, port FetchPort, d *Decode
 		latLoad:   uint64(1 + cfg.LoadUseDelay),
 		latMul:    uint64(1 + cfg.MulLatency),
 		maxCycles: cfg.cycleBudget(),
+		sink:      sink,
 	}
 	addr := recs[m.PCIdx].Addr
 	p.fStart, p.fEnd = addr, addr
 	return nil
 }
-
-// SetSink attaches an event sink to the run (nil detaches). Subsequent
-// RunUntil calls execute the traced mirror of the cycle loop; results
-// are bit-identical to the untraced loop (the mirror differs only in
-// the Emit calls — TestTracedRunMatchesPlainRun in internal/sim).
-func (p *PipelineRun) SetSink(sink tracing.EventSink) { p.sink = sink }
 
 // Done reports whether the machine behind the run has halted.
 func (p *PipelineRun) Done() bool { return p.m.Halted }
@@ -323,13 +305,24 @@ func (p *PipelineRun) Resync() error {
 // passed at construction is kept current (Cycles, Output) on every
 // return.
 func (p *PipelineRun) RunUntil(target uint64) error {
-	if p.sink != nil {
-		// Tracing requested: run the mirrored loop with Emit calls.
-		// Dispatching here (instead of branching per event inside the
-		// loop) keeps the untraced loop body below byte-for-byte the
-		// pre-tracing code.
-		return p.runUntilTraced(target)
-	}
+	return p.run(target, math.MaxUint64)
+}
+
+// RunCycles advances the cycle loop until the machine halts or until
+// cycles have completed in total (an absolute Cycles value, not a
+// delta). It lands exactly: the run stops at the cycle boundary, and a
+// later RunCycles or RunUntil resumes bit-identically, so chopping a
+// run into windows changes no result (TestRunCyclesChopped). The
+// deadlock guard still applies: a run that reaches its cycle budget
+// fails as an unbounded one would.
+func (p *PipelineRun) RunCycles(until uint64) error {
+	return p.run(math.MaxUint64, until)
+}
+
+// run is the cycle loop behind RunUntil and RunCycles: it stops at the
+// instruction target or once stop cycles have completed, whichever
+// comes first.
+func (p *PipelineRun) run(target, stop uint64) error {
 	// Copy the hot state to locals for the duration of the loop; write
 	// back through save() on every exit path.
 	m := p.m
@@ -341,6 +334,9 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 	blockMask := p.blockMask
 	latLoad, latMul := p.latLoad, p.latMul
 	maxCycles := p.maxCycles
+	// One compare per cycle serves both the cycle stop and the deadlock
+	// guard; which of the two fired is sorted out only once it trips.
+	limit := min(stop, maxCycles)
 	fStart, fEnd := p.fStart, p.fEnd
 	fetchBusy, inflight, hasInflight := p.fetchBusy, p.inflight, p.hasInflight
 	bubble := p.bubble
@@ -363,11 +359,15 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 
 	unbounded := target == math.MaxUint64
 	for !m.Halted && (unbounded || m.InstrCount < target) {
-		cycle++
-		if cycle > maxCycles {
+		if cycle >= limit {
+			if cycle >= stop {
+				break
+			}
+			cycle++
 			save()
 			return fmt.Errorf("cpu: cycle budget exhausted (deadlock?)")
 		}
+		cycle++
 
 		// ---- Fetch stage ----
 		const (
@@ -409,8 +409,19 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 					fetchBusy = stall
 					inflight = blk
 					hasInflight = true
+					if p.sink != nil {
+						p.sink.Emit(tracing.Event{
+							Cycle: cycle, PC: blk,
+							Payload: uint32(stall), Kind: tracing.KindMiss,
+						})
+					}
 				} else {
 					fEnd = blk + uint32(cfg.BlockBytes)
+					if p.sink != nil {
+						p.sink.Emit(tracing.Event{
+							Cycle: cycle, PC: blk, Kind: tracing.KindFetch,
+						})
+					}
 				}
 			}
 		}
@@ -491,9 +502,26 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 				if stepRes.Taken {
 					res.Taken++
 				}
+				if p.sink != nil {
+					var taken uint32
+					if stepRes.Taken {
+						taken = 1
+					}
+					p.sink.Emit(tracing.Event{
+						Cycle: cycle, PC: rec.Addr,
+						Payload: taken, Kind: tracing.KindBranch,
+					})
+				}
 				if predTaken != stepRes.Taken {
 					res.Mispredicts++
 					bubble += cfg.MispredictPenalty
+					if p.sink != nil {
+						p.sink.Emit(tracing.Event{
+							Cycle: cycle, PC: rec.Addr,
+							Payload: uint32(cfg.MispredictPenalty),
+							Kind:    tracing.KindMispredict,
+						})
+					}
 				}
 				if stepRes.Taken || predTaken != stepRes.Taken {
 					redirect(recs[m.PCIdx].Addr)
@@ -514,6 +542,21 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 				res.ZeroIssueBubble++
 			default:
 				*stallCause++
+			}
+			if p.sink != nil {
+				cause := tracing.CauseHazard
+				switch {
+				case fetchState == fetchMiss:
+					cause = tracing.CauseMiss
+				case fetchState == fetchBubble:
+					cause = tracing.CauseBubble
+				case stallCause == &res.ZeroIssueFetch:
+					cause = tracing.CauseFetch
+				}
+				p.sink.Emit(tracing.Event{
+					Cycle: cycle, PC: recs[m.PCIdx].Addr,
+					Kind: tracing.KindStall, Cause: cause,
+				})
 			}
 		}
 

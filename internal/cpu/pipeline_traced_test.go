@@ -25,15 +25,15 @@ func tracedPair(t *testing.T, p *program.Program, mkPort func() FetchPort, sink 
 	d := Predecode(p, ImageLayout(im))
 
 	m1 := New(p, ImageLayout(im))
-	perr = RunPipelineInto(m1, cfg, mkPort(), d, &plain)
+	perr = RunPipelineInto(m1, cfg, mkPort(), d, &plain, nil)
 	m2 := New(p, ImageLayout(im))
-	terr = RunPipelineTraced(m2, cfg, mkPort(), d, &traced, sink)
+	terr = RunPipelineInto(m2, cfg, mkPort(), d, &traced, sink)
 	return plain, traced, perr, terr
 }
 
 // tracedPrograms is the equivalence corpus: dual-issue straight line,
 // a predictable backward loop, and a mispredict-heavy alternating
-// branch — together they reach every arm of the traced cycle loop.
+// branch — together they reach every emission point of the cycle loop.
 func tracedPrograms() map[string]*program.Program {
 	alt := asm.New("alt")
 	alt.Func("main")
@@ -64,10 +64,10 @@ func tracedPrograms() map[string]*program.Program {
 	}
 }
 
-// TestTracedPipelineMatchesPlain asserts the mirrored traced cycle loop
-// is observationally identical to the untraced one — same PipeResult to
-// the bit — while its event stream reconciles with the result's own
-// counters, both on an ideal port and under injected miss stalls.
+// TestTracedPipelineMatchesPlain asserts attaching a sink to the cycle
+// loop is observationally inert — same PipeResult to the bit — while
+// its event stream reconciles with the result's own counters, both on
+// an ideal port and under injected miss stalls.
 func TestTracedPipelineMatchesPlain(t *testing.T) {
 	ports := map[string]func() FetchPort{
 		"ideal":   func() FetchPort { return nil },
@@ -113,7 +113,7 @@ func TestTracedPipelineMatchesPlain(t *testing.T) {
 }
 
 // TestTracedPipelineFaultIdentity asserts a faulting program faults
-// identically — same error string — under both loops.
+// identically — same error string — traced and untraced.
 func TestTracedPipelineFaultIdentity(t *testing.T) {
 	b := asm.New("fault")
 	b.Func("main")
@@ -130,16 +130,111 @@ func TestTracedPipelineFaultIdentity(t *testing.T) {
 	}
 }
 
-// TestTracedNilSinkDelegates asserts RunPipelineTraced with a nil sink
-// is exactly the untraced run.
+// TestTracedNilSinkDelegates asserts a nil sink is exactly the
+// untraced run: RunPipelineInto with no sink matches the RunPipeline
+// convenience to the bit.
 func TestTracedNilSinkDelegates(t *testing.T) {
 	for name, p := range tracedPrograms() {
-		plain, traced, perr, terr := tracedPair(t, p, func() FetchPort { return nil }, nil)
+		_, traced, _, terr := tracedPair(t, p, func() FetchPort { return nil }, nil)
+		im, err := arm.Assemble(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, perr := RunPipeline(New(p, ImageLayout(im)), DefaultPipeConfig(), nil)
 		if perr != nil || terr != nil {
 			t.Fatalf("%s: errors %v / %v", name, perr, terr)
 		}
-		if !reflect.DeepEqual(plain, traced) {
-			t.Errorf("%s: nil-sink traced run diverges from plain run", name)
+		if !reflect.DeepEqual(*plain, traced) {
+			t.Errorf("%s: nil-sink run diverges from RunPipeline", name)
+		}
+	}
+}
+
+// chopped runs p to halt in RunCycles windows of w cycles, with the
+// sink attached, and returns the result and the terminating error.
+func chopped(t *testing.T, p *program.Program, cfg PipeConfig, port FetchPort, w uint64, sink tracing.EventSink) (PipeResult, error) {
+	t.Helper()
+	im, err := arm.Assemble(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res PipeResult
+	run, err := NewPipelineRun(New(p, ImageLayout(im)), cfg, port, Predecode(p, ImageLayout(im)), &res, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); !run.Done(); k++ {
+		if err := run.RunCycles(k * w); err != nil {
+			return res, err
+		}
+		if c := run.Cycles(); c != k*w && !run.Done() {
+			t.Fatalf("window %d stopped at cycle %d, want %d", k, c, k*w)
+		}
+	}
+	return res, nil
+}
+
+// TestRunCyclesChopped asserts RunCycles lands exactly: a run chopped
+// into windows of 1, 7 or 4096 cycles produces the PipeResult, Output
+// and event stream of one uninterrupted run, under injected miss
+// stalls.
+func TestRunCyclesChopped(t *testing.T) {
+	progs := tracedPrograms()
+	progs["mixed"] = mixedProgram()
+	mkPort := func() FetchPort { return &countingPort{stall: 24, every: 5} }
+	for name, p := range progs {
+		var whole tracing.Counts
+		want, _, err, _ := tracedPair(t, p, mkPort, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := tracedPair(t, p, mkPort, &whole); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []uint64{1, 7, 4096} {
+			var c tracing.Counts
+			got, err := chopped(t, p, DefaultPipeConfig(), mkPort(), w, &c)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, w, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s/%d: chopped run diverges:\nwhole:   %+v\nchopped: %+v", name, w, want, got)
+			}
+			if c != whole {
+				t.Errorf("%s/%d: chopped event counts %+v, whole run %+v", name, w, c, whole)
+			}
+		}
+	}
+}
+
+// TestRunCyclesDeadlockGuard asserts the cycle stop shares the deadlock
+// guard without weakening it: a run whose fetch never completes fails
+// with the same message at the same cycle count whether it runs whole
+// or in windows.
+func TestRunCyclesDeadlockGuard(t *testing.T) {
+	p := straightLine(8)
+	cfg := DefaultPipeConfig()
+	cfg.MaxInstrs = 1 // cycle budget 64 + 1<<20
+	mkPort := func() FetchPort { return &countingPort{stall: 1 << 22, every: 1} }
+	im, err := arm.Assemble(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var whole PipeResult
+	werr := RunPipelineInto(New(p, ImageLayout(im)), cfg, mkPort(), Predecode(p, ImageLayout(im)), &whole, nil)
+	if werr == nil {
+		t.Fatal("stalled run completed")
+	}
+	if want := cfg.cycleBudget() + 1; whole.Cycles != want {
+		t.Errorf("whole run failed at cycle %d, want %d", whole.Cycles, want)
+	}
+	for _, w := range []uint64{7, 4096, cfg.cycleBudget()} {
+		got, err := chopped(t, p, cfg, mkPort(), w, nil)
+		if err == nil || err.Error() != werr.Error() {
+			t.Fatalf("window %d: error %v, want %v", w, err, werr)
+		}
+		if !reflect.DeepEqual(whole, got) {
+			t.Errorf("window %d: failed result %+v, whole run %+v", w, got, whole)
 		}
 	}
 }

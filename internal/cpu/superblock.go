@@ -94,61 +94,40 @@ func (m *Machine) RunSuperblocks(c *Compiled) error {
 // instruction boundary once InstrCount has advanced by n (or the
 // program halts, whichever comes first). The sampled timing simulator
 // uses it to fast-forward between measured windows.
-func (m *Machine) RunSuperblocksN(c *Compiled, n uint64) error {
+//
+// A non-nil touch is the fetch-stream witness: it is called with the
+// instruction-address range [lo, hi) of every executed batch (one fused
+// block, or one instruction on the fallback path). The sampled
+// simulator uses it to keep the I-cache warm across fast-forwards —
+// without it, every measured window would start from an artificially
+// cold cache and the extrapolated miss counts would be badly biased
+// (the classic functional-warming requirement of sampled simulation).
+//
+// A non-nil sink receives one KindSuperblock event per executed batch,
+// carrying the machine's InstrCount at entry in Cycle (functional
+// execution has no cycle clock), the batch's first encoded address in
+// PC and its encoded length in Payload. With a nil sink no closure is
+// built, so the fast-forward hot path pays nothing for tracing.
+func (m *Machine) RunSuperblocksN(c *Compiled, n uint64, touch func(lo, hi uint32), sink tracing.EventSink) error {
 	if err := c.check(m); err != nil {
 		return err
 	}
 	if n > math.MaxUint64-m.InstrCount {
 		n = math.MaxUint64 - m.InstrCount
 	}
-	return m.runSuperblocks(c, m.InstrCount+n, nil)
-}
-
-// RunSuperblocksWarm is RunSuperblocksN with a fetch-stream witness:
-// touch is called with the instruction-address range [lo, hi) of every
-// executed batch (one fused block, or one instruction on the fallback
-// path). The sampled timing simulator uses it to keep the I-cache
-// contents warm across functional fast-forwards — without it, every
-// measured window would start from an artificially cold cache and the
-// extrapolated miss counts would be badly biased (the classic
-// functional-warming requirement of sampled simulation).
-func (m *Machine) RunSuperblocksWarm(c *Compiled, n uint64, touch func(lo, hi uint32)) error {
-	if err := c.check(m); err != nil {
-		return err
-	}
-	if n > math.MaxUint64-m.InstrCount {
-		n = math.MaxUint64 - m.InstrCount
+	if sink != nil {
+		witness := touch
+		touch = func(lo, hi uint32) {
+			if witness != nil {
+				witness(lo, hi)
+			}
+			sink.Emit(tracing.Event{
+				Cycle: m.InstrCount, PC: lo,
+				Payload: hi - lo, Kind: tracing.KindSuperblock,
+			})
+		}
 	}
 	return m.runSuperblocks(c, m.InstrCount+n, touch)
-}
-
-// RunSuperblocksTraced is RunSuperblocksWarm with a tracing sink: one
-// KindSuperblock event per executed batch (a fused block, or a single
-// fallback instruction), carrying the machine's InstrCount at entry in
-// Cycle (functional execution has no cycle clock), the batch's first
-// encoded address in PC and its encoded length in Payload. A nil sink
-// delegates straight to RunSuperblocksWarm, so the fast-forward hot
-// path pays nothing when tracing is off.
-func (m *Machine) RunSuperblocksTraced(c *Compiled, n uint64, touch func(lo, hi uint32), sink tracing.EventSink) error {
-	if sink == nil {
-		return m.RunSuperblocksWarm(c, n, touch)
-	}
-	emit := func(lo, hi uint32) {
-		if touch != nil {
-			touch(lo, hi)
-		}
-		sink.Emit(tracing.Event{
-			Cycle: m.InstrCount, PC: lo,
-			Payload: hi - lo, Kind: tracing.KindSuperblock,
-		})
-	}
-	if err := c.check(m); err != nil {
-		return err
-	}
-	if n > math.MaxUint64-m.InstrCount {
-		n = math.MaxUint64 - m.InstrCount
-	}
-	return m.runSuperblocks(c, m.InstrCount+n, emit)
 }
 
 // runSuperblocks is the dispatch loop: fused blocks when a whole block

@@ -259,10 +259,10 @@ func TestSuperblockMismatchRejected(t *testing.T) {
 	if err := New(p1, l1).RunSuperblocks(nil); err == nil {
 		t.Error("RunSuperblocks accepted a nil table")
 	}
-	if err := New(p1, l1).RunSuperblocksN(wrong, 10); err == nil {
+	if err := New(p1, l1).RunSuperblocksN(wrong, 10, nil, nil); err == nil {
 		t.Error("RunSuperblocksN accepted a foreign table")
 	}
-	if err := New(p1, l1).RunSuperblocksN(nil, 10); err == nil {
+	if err := New(p1, l1).RunSuperblocksN(nil, 10, nil, nil); err == nil {
 		t.Error("RunSuperblocksN accepted a nil table")
 	}
 }
@@ -280,7 +280,7 @@ func TestRunSuperblocksN(t *testing.T) {
 	mi := New(p, l)
 	var total uint64
 	for _, n := range []uint64{1, 2, 3, 5, 8, 13, 100, 1, 7} {
-		if err := ms.RunSuperblocksN(c, n); err != nil {
+		if err := ms.RunSuperblocksN(c, n, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := uint64(0); i < n && !mi.Halted; i++ {

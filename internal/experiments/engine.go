@@ -114,16 +114,12 @@ type Options struct {
 	// stdlib slog handler is); it is also threaded into sim.PrepareWith
 	// for per-stage preparation logs.
 	Log *slog.Logger
-	// Observe, when enabled, runs every kernel × configuration
-	// simulation with phase sampling attached; the per-run
-	// metrics.Series lands on each sim.Result. Ignored when Sampled is
-	// set — phase series require a full detailed run.
-	Observe sim.ObserveOptions
-	// Superblocks routes the profiling stage of every preparation
-	// through the fused superblock executor. Profiles are identical
-	// (the executors are equivalence-tested down to DynCount); only
-	// preparation wall-clock changes.
-	Superblocks bool
+	// Window, when positive, records every kernel × configuration
+	// run's phase series in windows of that many cycles
+	// (sim.RunOptions.Window); the per-run metrics.Series lands on each
+	// sim.Result. Ignored when Sampled is set — phase series require a
+	// full detailed run.
+	Window int
 	// Sampled replaces every full-pipeline timing run with the sampled
 	// estimator (sim.RunSampled): exact outputs and instruction counts,
 	// extrapolated cycles and energy with ≤2 % validated error.
@@ -219,9 +215,8 @@ func RunSuite(opt Options) (*Suite, error) {
 			}
 			t0 := time.Now()
 			setup, err := sim.PrepareWith(k, opt.Scale, sim.PrepareOptions{
-				Synth:       synth.DefaultOptions(),
-				Superblocks: opt.Superblocks,
-				Log:         opt.Log,
+				Synth: synth.DefaultOptions(),
+				Log:   opt.Log,
 			})
 			kr.timing.PrepareSec = time.Since(t0).Seconds()
 			kr.timing.Worker = worker
@@ -253,13 +248,11 @@ func RunSuite(opt Options) (*Suite, error) {
 						return
 					}
 					t0 := time.Now()
-					var r *sim.Result
-					var err error
+					ro := sim.RunOptions{Window: opt.Window}
 					if opt.Sampled {
-						r, err = setup.RunSampled(cfg, s.Cal, opt.Sample)
-					} else {
-						r, err = setup.RunObserved(cfg, s.Cal, opt.Observe)
+						ro = sim.RunOptions{Sample: &opt.Sample}
 					}
+					r, err := setup.RunWith(cfg, s.Cal, ro)
 					runSec[ci] = time.Since(t0).Seconds()
 					eng.release(worker)
 					if err != nil {

@@ -1,22 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Observer receives the raw events of one timing run. The simulator's
-// fetch port calls OnFetch once per I-cache access (after the access
-// has been charged to the power meter) and OnCycle once per pipeline
-// cycle. Both methods sit on the simulation hot path: implementations
-// must not allocate per event, and a nil observer must cost only the
-// guard branch (the overhead contract asserted by BenchmarkFetchPort).
-type Observer interface {
-	// OnFetch reports one I-cache access at addr and whether it missed.
-	OnFetch(addr uint32, miss bool)
-	// OnCycle reports the end of one pipeline cycle.
-	OnCycle()
-}
+import "fmt"
 
 // EnergySource exposes a power model's cumulative energy counters.
 // power.Meter implements it.
@@ -24,9 +8,6 @@ type EnergySource interface {
 	// EnergyPJ returns cumulative switching, internal and leakage
 	// energy in picojoules.
 	EnergyPJ() (switchPJ, internalPJ, leakPJ float64)
-	// LastAccessPJ returns the energy charged by the most recent
-	// access (switching plus any line-fill), for PC attribution.
-	LastAccessPJ() float64
 }
 
 // AccessSource exposes a cache's cumulative access counters.
@@ -118,37 +99,22 @@ type SamplerConfig struct {
 	// Instrs, when non-nil, returns the cumulative retired-instruction
 	// count (for per-window IPC).
 	Instrs func() uint64
-	// AttribBase and AttribBytes bound the PC range attributed to
-	// buckets (the text segment); fetches outside land in a catch-all
-	// bucket. AttribBytes ≤ 0 disables attribution.
-	AttribBase  uint32
-	AttribBytes int
-	// AttribBucketBytes is the attribution granularity (default 64).
-	AttribBucketBytes int
 }
 
-// Sampler implements Observer by recording a cycle-windowed time
-// series of fetch, miss, energy and IPC deltas plus a PC-bucketed
-// fetch-energy attribution map. All per-event state is preallocated at
-// construction; only the sample slice grows (amortised, off the
-// per-event path).
+// Sampler records a cycle-windowed time series of fetch, miss, energy
+// and IPC deltas. It is a poller: the code running the pipeline calls
+// CloseWindow at each window boundary, and the sampler reads the
+// cumulative counters of its sources there, so it adds nothing to the
+// cycle loop.
 type Sampler struct {
-	cfg    SamplerConfig
-	bucket int
-
-	cycles  uint64
-	inWin   uint64
+	cfg     SamplerConfig
 	samples []WindowSample
 
 	// Cumulative values at the last window boundary.
+	lastCycle              uint64
 	lastSw, lastIn, lastLk float64
 	lastAcc, lastMiss      uint64
 	lastInstr              uint64
-
-	// PC attribution; index len(fetchPJ)-1 is the out-of-range bucket.
-	fetchPJ []float64
-	fetches []uint64
-	misses  []uint64
 }
 
 // NewSampler builds a sampler for one run.
@@ -159,48 +125,16 @@ func NewSampler(cfg SamplerConfig) (*Sampler, error) {
 	if cfg.Energy == nil || cfg.Access == nil {
 		return nil, fmt.Errorf("metrics: sampler requires energy and access sources")
 	}
-	s := &Sampler{cfg: cfg, bucket: cfg.AttribBucketBytes}
-	if s.bucket <= 0 {
-		s.bucket = 64
-	}
-	if cfg.AttribBytes > 0 {
-		n := (cfg.AttribBytes+s.bucket-1)/s.bucket + 1 // +1: out-of-range
-		s.fetchPJ = make([]float64, n)
-		s.fetches = make([]uint64, n)
-		s.misses = make([]uint64, n)
-	}
-	return s, nil
+	return &Sampler{cfg: cfg}, nil
 }
 
-// OnFetch attributes the access's energy to its PC bucket.
-func (s *Sampler) OnFetch(addr uint32, miss bool) {
-	if s.fetchPJ == nil {
+// CloseWindow emits one sample from the deltas since the last boundary,
+// for the window ending at the run's cumulative cycle count cycles. A
+// call that adds no cycles records nothing.
+func (s *Sampler) CloseWindow(cycles uint64) {
+	if cycles <= s.lastCycle {
 		return
 	}
-	i := len(s.fetchPJ) - 1
-	if off := int64(addr) - int64(s.cfg.AttribBase); off >= 0 && off < int64(s.cfg.AttribBytes) {
-		i = int(off) / s.bucket
-	}
-	s.fetchPJ[i] += s.cfg.Energy.LastAccessPJ()
-	s.fetches[i]++
-	if miss {
-		s.misses[i]++
-	}
-}
-
-// OnCycle advances the window clock, closing a sample at each
-// boundary.
-func (s *Sampler) OnCycle() {
-	s.cycles++
-	s.inWin++
-	if s.inWin >= uint64(s.cfg.WindowCycles) {
-		s.closeWindow()
-	}
-}
-
-// closeWindow emits one sample from the deltas since the last
-// boundary.
-func (s *Sampler) closeWindow() {
 	sw, in, lk := s.cfg.Energy.EnergyPJ()
 	acc, miss := s.cfg.Access.AccessCounts()
 	var instr uint64
@@ -208,8 +142,8 @@ func (s *Sampler) closeWindow() {
 		instr = s.cfg.Instrs()
 	}
 	s.samples = append(s.samples, WindowSample{
-		EndCycle:   s.cycles,
-		Cycles:     s.inWin,
+		EndCycle:   cycles,
+		Cycles:     cycles - s.lastCycle,
 		Fetches:    acc - s.lastAcc,
 		Misses:     miss - s.lastMiss,
 		SwitchPJ:   sw - s.lastSw,
@@ -217,39 +151,13 @@ func (s *Sampler) closeWindow() {
 		LeakPJ:     lk - s.lastLk,
 		Instrs:     instr - s.lastInstr,
 	})
+	s.lastCycle = cycles
 	s.lastSw, s.lastIn, s.lastLk = sw, in, lk
 	s.lastAcc, s.lastMiss, s.lastInstr = acc, miss, instr
-	s.inWin = 0
 }
 
-// Series flushes any partial window and returns the recorded phase
-// series. The sampler may not be reused afterwards.
+// Series returns the recorded phase series, without hotspots. The final
+// window must already be closed (it may be partial).
 func (s *Sampler) Series() *Series {
-	if s.inWin > 0 {
-		s.closeWindow()
-	}
-	out := &Series{WindowCycles: s.cfg.WindowCycles, Samples: s.samples}
-	for i, pj := range s.fetchPJ {
-		if s.fetches[i] == 0 {
-			continue
-		}
-		start := s.cfg.AttribBase + uint32(i*s.bucket)
-		end := start + uint32(s.bucket)
-		if i == len(s.fetchPJ)-1 {
-			// The catch-all bucket has no meaningful range.
-			start, end = 0, 0
-		}
-		out.Hotspots = append(out.Hotspots, Hotspot{
-			StartAddr: start, EndAddr: end,
-			Fetches: s.fetches[i], Misses: s.misses[i], FetchPJ: pj,
-		})
-	}
-	sort.Slice(out.Hotspots, func(a, b int) bool {
-		ha, hb := out.Hotspots[a], out.Hotspots[b]
-		if ha.FetchPJ != hb.FetchPJ {
-			return ha.FetchPJ > hb.FetchPJ
-		}
-		return ha.StartAddr < hb.StartAddr
-	})
-	return out
+	return &Series{WindowCycles: s.cfg.WindowCycles, Samples: s.samples}
 }

@@ -1,53 +1,44 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // fakeRun is a scripted EnergySource/AccessSource pair.
 type fakeRun struct {
 	sw, in, lk float64
 	acc, miss  uint64
-	lastPJ     float64
 	instrs     uint64
 }
 
 func (f *fakeRun) EnergyPJ() (float64, float64, float64) { return f.sw, f.in, f.lk }
-func (f *fakeRun) LastAccessPJ() float64                 { return f.lastPJ }
 func (f *fakeRun) AccessCounts() (uint64, uint64)        { return f.acc, f.miss }
-
-// fetch simulates one access of pj energy at addr.
-func (f *fakeRun) fetch(s *Sampler, addr uint32, miss bool, pj float64) {
-	f.acc++
-	if miss {
-		f.miss++
-	}
-	f.sw += pj
-	f.lastPJ = pj
-	s.OnFetch(addr, miss)
-}
 
 func TestSamplerWindows(t *testing.T) {
 	f := &fakeRun{}
 	s, err := NewSampler(SamplerConfig{
 		WindowCycles: 4,
 		Energy:       f, Access: f,
-		Instrs:      func() uint64 { return f.instrs },
-		AttribBase:  0x1000,
-		AttribBytes: 256,
+		Instrs: func() uint64 { return f.instrs },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 10 cycles: one fetch per cycle, a miss every 3rd, 2 instrs/cycle.
-	for c := 0; c < 10; c++ {
-		f.fetch(s, 0x1000+uint32(c*4), c%3 == 0, 10)
+	// 10 cycles: one 10 pJ fetch per cycle, a miss every 3rd, 2
+	// instrs/cycle; the caller polls at every 4th cycle and at the end.
+	for c := 1; c <= 10; c++ {
+		f.acc++
+		if (c-1)%3 == 0 {
+			f.miss++
+		}
+		f.sw += 10
 		f.in += 5
 		f.lk += 1
 		f.instrs += 2
-		s.OnCycle()
+		if c%4 == 0 {
+			s.CloseWindow(uint64(c))
+		}
 	}
+	s.CloseWindow(10)
+	s.CloseWindow(10) // a window adding no cycles records nothing
 	series := s.Series()
 	if len(series.Samples) != 3 {
 		t.Fatalf("samples = %d, want 3 (4+4+partial 2)", len(series.Samples))
@@ -77,47 +68,6 @@ func TestSamplerWindows(t *testing.T) {
 	if fetches != f.acc || misses != f.miss || sw != f.sw {
 		t.Errorf("window totals %d/%d/%v diverge from sources %d/%d/%v",
 			fetches, misses, sw, f.acc, f.miss, f.sw)
-	}
-}
-
-func TestSamplerAttribution(t *testing.T) {
-	f := &fakeRun{}
-	s, err := NewSampler(SamplerConfig{
-		WindowCycles: 8, Energy: f, Access: f,
-		AttribBase: 0x2000, AttribBytes: 128, AttribBucketBytes: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.fetch(s, 0x2000, false, 10) // bucket 0
-	f.fetch(s, 0x2004, true, 30)  // bucket 0
-	f.fetch(s, 0x2040, false, 5)  // bucket 1
-	f.fetch(s, 0x9999, false, 7)  // out of range
-	s.OnCycle()
-	series := s.Series()
-	if len(series.Hotspots) != 3 {
-		t.Fatalf("hotspots = %d, want 3", len(series.Hotspots))
-	}
-	top := series.TopHotspots(1)[0]
-	if top.StartAddr != 0x2000 || top.EndAddr != 0x2040 || top.FetchPJ != 40 ||
-		top.Fetches != 2 || top.Misses != 1 {
-		t.Errorf("top hotspot = %+v, want bucket [0x2000,0x2040) with 40 pJ", top)
-	}
-	if got := series.TotalFetchPJ(); math.Abs(got-52) > 1e-12 {
-		t.Errorf("total fetch energy = %v, want 52", got)
-	}
-	// The catch-all bucket reports a zero range.
-	var sawCatchAll bool
-	for _, h := range series.Hotspots {
-		if h.StartAddr == 0 && h.EndAddr == 0 {
-			sawCatchAll = true
-			if h.FetchPJ != 7 {
-				t.Errorf("catch-all bucket = %v pJ, want 7", h.FetchPJ)
-			}
-		}
-	}
-	if !sawCatchAll {
-		t.Error("out-of-range fetch not recorded in catch-all bucket")
 	}
 }
 

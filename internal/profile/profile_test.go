@@ -1,11 +1,15 @@
 package profile
 
 import (
+	"reflect"
 	"testing"
 
 	"powerfits/internal/asm"
+	"powerfits/internal/cpu"
 	"powerfits/internal/isa"
 	"powerfits/internal/isa/fits"
+	"powerfits/internal/kernels"
+	"powerfits/internal/program"
 )
 
 func buildLoop(t *testing.T) *Profile {
@@ -144,5 +148,47 @@ func TestSignedBits(t *testing.T) {
 		if got := signedBits(v); got != want {
 			t.Errorf("signedBits(%d) = %d, want %d", v, got, want)
 		}
+	}
+}
+
+// compiledProfile is the reference profile: the same run dispatched
+// per instruction through RunCompiled instead of the fused superblock
+// executor Collect uses.
+func compiledProfile(p *program.Program, maxInstrs uint64) (*Profile, error) {
+	l := cpu.WordLayout(p.TextBase, len(p.Instrs))
+	m := cpu.New(p, l)
+	m.MaxInstrs = maxInstrs
+	m.DynCount = make([]uint64, len(p.Instrs))
+	if err := m.RunCompiled(cpu.Compile(p, l)); err != nil {
+		return nil, err
+	}
+	return build(p, m.DynCount, m.Output), nil
+}
+
+// TestCollectMatchesCompiled pins the profiling executor: Collect's
+// superblock run yields the compiled path's profile for every kernel at
+// scale 1, and an exhausted budget fails with the same error.
+func TestCollectMatchesCompiled(t *testing.T) {
+	for _, k := range kernels.All() {
+		p := k.Build(1)
+		got, err := Collect(p, 2e9)
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		want, err := compiledProfile(p, 2e9)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", k.Name, err)
+		}
+		if !reflect.DeepEqual(got.Dyn, want.Dyn) || !reflect.DeepEqual(got.Output, want.Output) ||
+			got.TotalDyn != want.TotalDyn || got.TotalStatic != want.TotalStatic {
+			t.Errorf("%s: superblock profile diverges from the compiled path (dyn %d vs %d)",
+				k.Name, got.TotalDyn, want.TotalDyn)
+		}
+	}
+	p := kernels.MustGet("crc32").Build(1)
+	_, gerr := Collect(p, 1000)
+	_, werr := compiledProfile(p, 1000)
+	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+		t.Errorf("budget exhaustion: superblock error %v, compiled error %v", gerr, werr)
 	}
 }

@@ -1,13 +1,19 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"powerfits/internal/cache"
 	"powerfits/internal/kernels"
+	"powerfits/internal/metrics"
 	"powerfits/internal/power"
 	"powerfits/internal/synth"
+	"powerfits/internal/tracing"
 )
 
 // observedSetup prepares crc32 once for the observation tests.
@@ -21,7 +27,7 @@ func observedSetup(t *testing.T) *Setup {
 }
 
 // TestObservedRunMatchesPlainRun asserts the overhead contract's
-// correctness half: attaching the sampler must not change any
+// correctness half: recording a phase series must not change any
 // architectural or aggregate result.
 func TestObservedRunMatchesPlainRun(t *testing.T) {
 	s := observedSetup(t)
@@ -31,7 +37,7 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs, err := s.RunObserved(cfg, cal, ObserveOptions{WindowCycles: 512})
+		obs, err := s.RunWith(cfg, cal, RunOptions{Window: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,17 +47,7 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 		if plain.Phases != nil {
 			t.Fatalf("%s: plain run carries phases", cfg.Name)
 		}
-		if plain.Pipe.Cycles != obs.Pipe.Cycles || plain.Pipe.Instrs != obs.Pipe.Instrs ||
-			plain.Pipe.FetchAccesses != obs.Pipe.FetchAccesses ||
-			plain.Pipe.Mispredicts != obs.Pipe.Mispredicts {
-			t.Errorf("%s: pipeline results diverge: %+v vs %+v", cfg.Name, plain.Pipe, obs.Pipe)
-		}
-		if plain.Cache != obs.Cache {
-			t.Errorf("%s: cache stats diverge: %+v vs %+v", cfg.Name, plain.Cache, obs.Cache)
-		}
-		if plain.Power != obs.Power {
-			t.Errorf("%s: power reports diverge: %+v vs %+v", cfg.Name, plain.Power, obs.Power)
-		}
+		comparePlainTraced(t, cfg.Name, plain, obs)
 	}
 }
 
@@ -60,7 +56,7 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 func TestPhaseSeriesConsistency(t *testing.T) {
 	s := observedSetup(t)
 	cal := power.DefaultCalibration()
-	r, err := s.RunObserved(FITS8, cal, ObserveOptions{WindowCycles: 256})
+	r, err := s.RunWith(FITS8, cal, RunOptions{Window: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +103,7 @@ func TestPhaseSeriesConsistency(t *testing.T) {
 func TestHotspotAttribution(t *testing.T) {
 	s := observedSetup(t)
 	cal := power.DefaultCalibration()
-	r, err := s.RunObserved(ARM16, cal, ObserveOptions{WindowCycles: 1024, HotspotBucketBytes: 64})
+	r, err := s.RunWith(ARM16, cal, RunOptions{Window: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +134,8 @@ func TestHotspotAttribution(t *testing.T) {
 }
 
 // TestFetchPortNoAllocs is the overhead contract's cost half: the
-// nil-observer fetch path must not allocate (ci.sh additionally gates
-// this through BenchmarkFetchPort).
+// fetch path must not allocate (ci.sh additionally gates this through
+// BenchmarkFetchPort).
 func TestFetchPortNoAllocs(t *testing.T) {
 	s := observedSetup(t)
 	c := cache.MustNew(cache.SA1100ICache())
@@ -152,6 +148,103 @@ func TestFetchPortNoAllocs(t *testing.T) {
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("nil-observer fetch path allocates %v allocs/op, want 0", allocs)
+		t.Errorf("fetch path allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestHotspotBuckets pins the hotspot map's bucketing: fetches land in
+// fixed 64-byte buckets of the text segment, the hottest first, and
+// fetches outside the segment in a catch-all bucket of zero range.
+func TestHotspotBuckets(t *testing.T) {
+	const base, text = 0x2000, 100 // the second bucket is clipped
+	prof, err := tracing.NewProfiler(hotspotBlocks(base, text), base, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &fixedEnergy{}
+	prof.BindEnergy(e)
+	fetch := func(addr uint32, miss bool, pj float64) {
+		e.pj = pj
+		kind := tracing.KindFetch
+		if miss {
+			kind = tracing.KindMiss
+		}
+		prof.Emit(tracing.Event{PC: addr, Kind: kind})
+	}
+	fetch(0x2000, false, 10)                                      // bucket 0
+	fetch(0x2004, true, 30)                                       // bucket 0
+	fetch(0x2060, false, 5)                                       // bucket 1, inside the clipped tail
+	fetch(0x9999, false, 7)                                       // outside the text segment
+	prof.Emit(tracing.Event{PC: 0x2040, Kind: tracing.KindStall}) // no fetch: no row
+	series := &metrics.Series{Hotspots: hotspots(prof.Table(0))}
+	if len(series.Hotspots) != 3 {
+		t.Fatalf("hotspots = %+v, want 3", series.Hotspots)
+	}
+	top := series.TopHotspots(1)[0]
+	if top.StartAddr != 0x2000 || top.EndAddr != 0x2040 || top.FetchPJ != 40 ||
+		top.Fetches != 2 || top.Misses != 1 {
+		t.Errorf("top hotspot = %+v, want bucket [0x2000,0x2040) with 40 pJ", top)
+	}
+	if tail := series.Hotspots[2]; tail.StartAddr != 0x2040 || tail.EndAddr != 0x2080 || tail.FetchPJ != 5 {
+		t.Errorf("clipped bucket = %+v, want [0x2040,0x2080) with 5 pJ", tail)
+	}
+	if got := series.TotalFetchPJ(); math.Abs(got-52) > 1e-12 {
+		t.Errorf("total fetch energy = %v, want 52", got)
+	}
+	if h := series.Hotspots[1]; h.StartAddr != 0 || h.EndAddr != 0 || h.FetchPJ != 7 {
+		t.Errorf("catch-all bucket = %+v, want zero range with 7 pJ", h)
+	}
+}
+
+// fixedEnergy is a tracing.AccessEnergy reporting a scripted value.
+type fixedEnergy struct{ pj float64 }
+
+func (f *fixedEnergy) LastAccessPJ() float64 { return f.pj }
+func (f *fixedEnergy) AccessPJ() float64     { return 0 }
+
+// TestGoldenPhaseSeries pins the phase series and hotspot map of
+// crc32 at scale 1 on FITS8 with 256-cycle windows, as JSON. Refresh
+// after review with
+// `go test ./internal/sim -run TestGoldenPhaseSeries -update`.
+func TestGoldenPhaseSeries(t *testing.T) {
+	s := observedSetup(t)
+	r, err := s.RunWith(FITS8, power.DefaultCalibration(), RunOptions{Window: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(r.Phases, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	golden := filepath.Join("testdata", "series_crc32_fits8_w256.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the golden file)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("phase series drifted from %s; run with -update after review", golden)
+	}
+}
+
+// TestRunWithRejectsBadOptions pins RunWith's option checks: a negative
+// window, and a window combined with sampling or a sink.
+func TestRunWithRejectsBadOptions(t *testing.T) {
+	s := observedSetup(t)
+	cal := power.DefaultCalibration()
+	for name, opt := range map[string]RunOptions{
+		"negative window":  {Window: -5},
+		"window + sample":  {Window: 256, Sample: &SampleOptions{}},
+		"window + sink":    {Window: 256, Sink: &tracing.Counts{}},
+		"negative + empty": {Window: -1, Sample: &SampleOptions{}},
+	} {
+		if r, err := s.RunWith(FITS8, cal, opt); err == nil {
+			t.Errorf("%s: accepted, result %+v", name, r)
+		}
 	}
 }

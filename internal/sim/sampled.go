@@ -275,25 +275,21 @@ func (st *sampleState) resetWarm() {
 // intervals. Runs that halt before MinWindows windows fall back to an
 // exact full simulation.
 //
-// Like Run, RunSampled is safe to call concurrently on one Setup.
+// RunSampled is RunWith with only Sample set. Like Run, it is safe to
+// call concurrently on one Setup.
 func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions) (*Result, error) {
 	return s.runSampled(cfg, cal, opt, nil)
 }
 
-// RunSampledTraced is RunSampled with a tracing.EventSink attached: the
+// runSampled is RunWith's sampled body. With a sink attached, the
 // detailed segments stream the same pipeline events a traced full run
 // would, the functional fast-forwards emit one KindSuperblock event per
 // executed batch, and every sampling boundary (head end, warmup start,
 // measure start/end) emits a KindWindow event, so a consumer can tell
-// measured cycles from extrapolated ones. A nil sink is exactly
-// RunSampled. When the run halts before MinWindows measured windows,
-// the fallback exact simulation is traced too (its events follow the
-// aborted sampled prefix's in the same sink, with a fresh meter bound
-// for energy attribution).
-func (s *Setup) RunSampledTraced(cfg Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink) (*Result, error) {
-	return s.runSampled(cfg, cal, opt, sink)
-}
-
+// measured cycles from extrapolated ones. When the run halts before
+// MinWindows measured windows, the fallback exact simulation is traced
+// too (its events follow the aborted sampled prefix's in the same sink,
+// with a fresh meter bound for energy attribution).
 func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
@@ -308,19 +304,16 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 	if err != nil {
 		return nil, err
 	}
-	if sink != nil {
-		bindEnergy(sink, meter)
-	}
+	bindEnergy(sink, meter)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
 	port := NewFetchPort(c, meter, im, pc.BlockBytes)
 
 	var pres cpu.PipeResult
-	run, err := cpu.NewPipelineRun(m, pc, port, dec, &pres)
+	run, err := cpu.NewPipelineRun(m, pc, port, dec, &pres, sink)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, cfg.Name, err)
 	}
-	run.SetSink(sink)
 	wrap := func(err error) error {
 		return fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, cfg.Name, err)
 	}
@@ -355,7 +348,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		// architectural state (and Output) advances exactly; the meter
 		// stands still and the cache sees only warming touches.
 		st.resetWarm()
-		if err := m.RunSuperblocksTraced(comp, ff, warm, sink); err != nil {
+		if err := m.RunSuperblocksN(comp, ff, warm, sink); err != nil {
 			return nil, wrap(err)
 		}
 		if m.Halted {
@@ -411,7 +404,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		// (traced when a sink is attached, so the event stream and any
 		// bound energy attribution follow the run that produced the
 		// result).
-		res, err := s.RunTraced(cfg, cal, sink)
+		res, err := s.RunWith(cfg, cal, RunOptions{Sink: sink})
 		if err != nil {
 			return nil, err
 		}

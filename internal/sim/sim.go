@@ -22,6 +22,7 @@ import (
 	"powerfits/internal/profile"
 	"powerfits/internal/program"
 	"powerfits/internal/synth"
+	"powerfits/internal/tracing"
 	"powerfits/internal/translate"
 
 	"powerfits/internal/isa/arm"
@@ -102,17 +103,12 @@ type Setup struct {
 type PrepareOptions struct {
 	// Synth parameterises the ISA synthesis stage.
 	Synth synth.Options
-	// Superblocks runs the profiling pass through the fused superblock
-	// executor (profile.CollectOptions.Superblocks). The resulting
-	// Setup is identical; only preparation wall-clock changes.
-	Superblocks bool
 	// Profiles, when non-nil, memoizes the profiling stage: the run is
 	// keyed by a content hash of the program (ARM text, load addresses,
 	// data segment, entry point) plus the effective profile budget, so
 	// repeated preparations of the same program — thousands of
 	// synthesis points in a design-space sweep — share one
-	// profile.Collect. Superblocks is deliberately excluded from the
-	// key: both executors produce bit-identical profiles.
+	// profile.Collect.
 	Profiles *profile.Cache
 	// Log, when non-nil, receives one Debug record per preparation with
 	// the wall-clock cost of every stage (build, assemble, profile,
@@ -158,7 +154,7 @@ func PrepareWith(k kernels.Kernel, scale int, popts PrepareOptions) (*Setup, err
 		return nil, fmt.Errorf("sim: %s: %w", k.Name, err)
 	}
 	prof, err := popts.Profiles.Collect(profileKey(p, armIm, budget), func() (*profile.Profile, error) {
-		return profile.CollectWith(p, profile.CollectOptions{MaxInstrs: budget, Superblocks: popts.Superblocks})
+		return profile.Collect(p, budget)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: profile: %w", k.Name, err)
@@ -230,12 +226,12 @@ type Result struct {
 	Cache  cache.Stats
 	Power  power.Report
 
-	// Phases is the phase-resolved telemetry of an observed run
-	// (RunObserved with a positive window); nil otherwise.
+	// Phases is the phase-resolved telemetry of a run with a positive
+	// RunOptions.Window; nil otherwise.
 	Phases *metrics.Series
 
 	// Sampled describes the sampling estimator behind the result when
-	// it came from RunSampled; nil for exact (full-pipeline) runs.
+	// it came from a sampled run; nil for exact (full-pipeline) runs.
 	Sampled *SampleStats
 
 	// AccessPJ is the power meter's exact running sum of per-access
@@ -271,8 +267,8 @@ func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, de
 // concurrent use). The fetch path is allocation-free in the steady
 // state: blocks fully inside the text segment alias the image directly,
 // and blocks straddling the bounds reuse a per-port scratch buffer.
-// Observation lives in the separate observedPort wrapper, so the
-// unobserved path carries no instrumentation cost at all (asserted by
+// The port carries no instrumentation: observation happens in the
+// cycle loop's event sink (asserted allocation-free by
 // BenchmarkFetchPort and TestFetchPortNoAllocs).
 type icachePort struct {
 	c        *cache.Cache
@@ -294,37 +290,6 @@ func newICachePort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes
 // concurrent pipeline runs.
 func NewFetchPort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes int) cpu.FetchPort {
 	return newICachePort(c, m, im, blockBytes)
-}
-
-// NewObservedFetchPort is NewFetchPort with a metrics.Observer attached
-// to the fetch and cycle events; a nil obs returns the plain port.
-func NewObservedFetchPort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes int, obs metrics.Observer) cpu.FetchPort {
-	p := newICachePort(c, m, im, blockBytes)
-	if obs == nil {
-		return p
-	}
-	return &observedPort{icachePort: p, obs: obs}
-}
-
-// observedPort wraps icachePort with a metrics.Observer. Keeping the
-// wrapper a distinct type (rather than a nil-checked field on
-// icachePort) leaves the unobserved port exactly as fast as before:
-// icachePort.Tick stays within the inlining budget and FetchBlock
-// carries no extra branch.
-type observedPort struct {
-	*icachePort
-	obs metrics.Observer
-}
-
-func (p *observedPort) FetchBlock(addr uint32) int {
-	stall := p.icachePort.FetchBlock(addr)
-	p.obs.OnFetch(addr, stall != 0)
-	return stall
-}
-
-func (p *observedPort) Tick() {
-	p.icachePort.Tick()
-	p.obs.OnCycle()
 }
 
 func (p *icachePort) FetchBlock(addr uint32) int {
@@ -353,34 +318,48 @@ func (p *icachePort) Tick() {
 	p.m.Tick()
 }
 
-// ObserveOptions configures phase-resolved telemetry for a run.
-// The zero value disables observation entirely (the fast path).
-type ObserveOptions struct {
-	// WindowCycles is the sample window length in pipeline cycles;
-	// each window yields one metrics.WindowSample. ≤ 0 disables
-	// sampling.
-	WindowCycles int
-	// HotspotBucketBytes is the PC-attribution granularity for the
-	// fetch-energy hotspot map (0 = the metrics default, 64 bytes).
-	HotspotBucketBytes int
+// RunOptions selects how Setup.RunWith simulates one configuration.
+// The zero value is the exact, unobserved run.
+type RunOptions struct {
+	// Sample, when non-nil, replaces the exact cycle-accurate run with
+	// the sampled estimator under these options (see RunSampled).
+	Sample *SampleOptions
+	// Sink, when non-nil, receives the run's event stream (see
+	// tracing.EventSink). A sink that attributes energy
+	// (tracing.Profiler) is bound to the run's power meter before the
+	// first cycle, and the Result's AccessPJ anchors its conservation
+	// check. The result is bit-identical with or without a sink.
+	Sink tracing.EventSink
+	// Window, when positive, records the run's phase series in windows
+	// of that many cycles plus its fetch-energy hotspot map
+	// (Result.Phases). It requires an exact run without a Sink.
+	Window int
 }
 
-// Enabled reports whether the options request any observation.
-func (o ObserveOptions) Enabled() bool { return o.WindowCycles > 0 }
-
-// Run executes the prepared kernel under one configuration. It is safe
-// to call concurrently on the same Setup: every piece of mutable state
-// (cache, meter, layout index, machine) is created per call.
+// Run executes the prepared kernel under one configuration on the
+// exact timing model. It is safe to call concurrently on the same
+// Setup: every piece of mutable state (cache, meter, layout index,
+// machine) is created per call.
 func (s *Setup) Run(cfg Config, cal power.Calibration) (*Result, error) {
-	return s.RunObserved(cfg, cal, ObserveOptions{})
+	return s.RunWith(cfg, cal, RunOptions{})
 }
 
-// RunObserved is Run with phase-resolved telemetry: when opt enables
-// sampling, the cache and power meter are polled at every window
-// boundary and each fetch is attributed to its PC bucket, and the
-// Result carries the resulting metrics.Series. Architectural and
-// aggregate results are identical to an unobserved Run.
-func (s *Setup) RunObserved(cfg Config, cal power.Calibration, opt ObserveOptions) (*Result, error) {
+// RunWith executes the prepared kernel under one configuration as opt
+// selects: exact or sampled, traced or not, with or without a phase
+// series. Architectural and aggregate results do not depend on the Sink
+// or the Window. Like Run, it is safe to call concurrently on one
+// Setup.
+func (s *Setup) RunWith(cfg Config, cal power.Calibration, opt RunOptions) (*Result, error) {
+	switch {
+	case opt.Window < 0:
+		return nil, fmt.Errorf("sim: negative phase window %d", opt.Window)
+	case opt.Window > 0 && opt.Sample != nil:
+		return nil, fmt.Errorf("sim: a phase window requires an exact run, not a sampled one")
+	case opt.Window > 0 && opt.Sink != nil:
+		return nil, fmt.Errorf("sim: a phase window cannot be combined with an event sink")
+	case opt.Sample != nil:
+		return s.runSampled(cfg, cal, *opt.Sample, opt.Sink)
+	}
 	prog, im, dec, _ := s.target(cfg)
 	c, err := cache.New(cfg.Cache)
 	if err != nil {
@@ -392,44 +371,18 @@ func (s *Setup) RunObserved(cfg Config, cal power.Calibration, opt ObserveOption
 	}
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
-	var sampler *metrics.Sampler
-	var obs metrics.Observer
-	if opt.Enabled() {
-		sampler, err = metrics.NewSampler(metrics.SamplerConfig{
-			WindowCycles:      opt.WindowCycles,
-			Energy:            meter,
-			Access:            c,
-			Instrs:            func() uint64 { return m.InstrCount },
-			AttribBase:        im.TextBase,
-			AttribBytes:       len(im.Text),
-			AttribBucketBytes: opt.HotspotBucketBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		obs = sampler
+	port := NewFetchPort(c, meter, im, pc.BlockBytes)
+	var pres cpu.PipeResult
+	var phases *metrics.Series
+	if opt.Window > 0 {
+		phases, err = runWindows(m, pc, port, dec, &pres, c, meter, im, opt.Window)
+	} else {
+		bindEnergy(opt.Sink, meter)
+		err = cpu.RunPipelineInto(m, pc, port, dec, &pres, opt.Sink)
 	}
-	port := NewObservedFetchPort(c, meter, im, pc.BlockBytes, obs)
-	pipe, err := cpu.RunPipelineDecoded(m, pc, port, dec)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, cfg.Name, err)
 	}
-	res := &Result{Config: cfg, Pipe: pipe, Cache: c.Stats(), Power: meter.Report(), AccessPJ: meter.AccessPJ()}
-	if sampler != nil {
-		res.Phases = sampler.Series()
-	}
-	return res, nil
-}
-
-// RunAll executes the kernel under every configuration.
-func (s *Setup) RunAll(cal power.Calibration) (map[string]*Result, error) {
-	out := make(map[string]*Result, len(Configs))
-	for _, cfg := range Configs {
-		r, err := s.Run(cfg, cal)
-		if err != nil {
-			return nil, err
-		}
-		out[cfg.Name] = r
-	}
-	return out, nil
+	return &Result{Config: cfg, Pipe: &pres, Cache: c.Stats(), Power: meter.Report(),
+		Phases: phases, AccessPJ: meter.AccessPJ()}, nil
 }

@@ -55,7 +55,7 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		var c tracing.Counts
-		traced, err := s.RunTraced(cfg, cal, &c)
+		traced, err := s.RunWith(cfg, cal, RunOptions{Sink: &c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,31 +79,23 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 				c.Kind[tracing.KindBranch], c.Kind[tracing.KindMispredict], p.Branches, p.Mispredicts)
 		}
 	}
-	// Nil sink: RunTraced degenerates to Run exactly.
-	plain, err := s.Run(FITS8, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nilTraced, err := s.RunTraced(FITS8, cal, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePlainTraced(t, "nil-sink", plain, nilTraced)
 }
 
 // TestProfilerConservation is the attribution profiler's acceptance
 // gate: the energy folded onto blocks sums — bit-for-bit, not within a
 // tolerance — to the meter's own access-energy counter, for every
 // kernel × configuration. The per-block re-sum must agree too, up to
-// float64 reassociation.
+// float64 reassociation, and the traced run must equal the plain run
+// to the bit.
 func TestProfilerConservation(t *testing.T) {
 	cal := power.DefaultCalibration()
-	names := []string{"crc32", "bitcount", "jpeg"}
+	ks := kernels.All()
 	if testing.Short() {
-		names = names[:1]
+		ks = []kernels.Kernel{kernels.MustGet("crc32")}
 	}
-	for _, name := range names {
-		s, err := Prepare(kernels.MustGet(name), 1, synth.DefaultOptions())
+	for _, k := range ks {
+		name := k.Name
+		s, err := Prepare(k, 1, synth.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,10 +104,15 @@ func TestProfilerConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := s.RunTraced(cfg, cal, prof)
+			r, err := s.RunWith(cfg, cal, RunOptions{Sink: prof})
 			if err != nil {
 				t.Fatal(err)
 			}
+			plain, err := s.Run(cfg, cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comparePlainTraced(t, name+"/"+cfg.Name, plain, r)
 			if r.AccessPJ == 0 {
 				t.Fatalf("%s/%s: run metered no access energy", name, cfg.Name)
 			}
@@ -151,7 +148,7 @@ func TestSampledTracedMatchesSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c tracing.Counts
-	traced, err := s.RunSampledTraced(ARM16, cal, SampleOptions{}, &c)
+	traced, err := s.RunWith(ARM16, cal, RunOptions{Sample: &SampleOptions{}, Sink: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestSampledTracedFallbackConserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunSampledTraced(ARM16, cal, SampleOptions{MinWindows: 1 << 20}, prof)
+	r, err := s.RunWith(ARM16, cal, RunOptions{Sample: &SampleOptions{MinWindows: 1 << 20}, Sink: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +225,7 @@ func TestSampledAllocsPinned(t *testing.T) {
 func TestGoldenChromeTrace(t *testing.T) {
 	s := tracedSetup(t)
 	ring := tracing.MustNewRing(256)
-	r, err := s.RunTraced(FITS8, power.DefaultCalibration(), ring)
+	r, err := s.RunWith(FITS8, power.DefaultCalibration(), RunOptions{Sink: ring})
 	if err != nil {
 		t.Fatal(err)
 	}

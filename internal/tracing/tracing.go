@@ -7,12 +7,11 @@
 // profile.
 //
 // The package is a leaf: it imports nothing from the simulator, so the
-// cpu and sim packages can depend on it without cycles. The hot-path
-// contract mirrors metrics.Observer: Emit implementations must not
-// allocate per event, and an untraced run (nil sink) must cost only
-// the guard branch at the run's entry — the traced cycle loop is a
-// separate mirrored copy, so the untraced loop body is byte-for-byte
-// the pre-tracing code (pinned by the 0-alloc benchmarks in ci.sh).
+// cpu and sim packages can depend on it without cycles. The sink is the
+// simulator's one observation hook, and its hot-path contract is that
+// Emit implementations must not allocate per event, while an untraced
+// run (nil sink) pays only a nil check at each emission point of the
+// one cycle loop (pinned by the 0-alloc benchmarks in ci.sh).
 package tracing
 
 // Kind classifies one event record.
