@@ -371,10 +371,10 @@ func BenchmarkMachineSteadyState(b *testing.B) {
 }
 
 // BenchmarkSampledPipeline compares the sampled timing estimator
-// against the full detailed pipeline it replaces, on one scale-1
-// kernel and the paper's baseline configuration. The Sampled/Full
-// ns/op ratio is the estimator's wall-clock win (the acceptance floor
-// is 5× on a scale-1 kernel); accuracy is asserted separately by
+// against the full detailed pipeline it replaces, on the scale-1
+// bitcount kernel and the paper's baseline configuration (ARM16). The
+// Full/Sampled ns/op ratio is the estimator's wall-clock win; no test
+// enforces a floor on it. Accuracy is asserted separately by
 // TestSampledAccuracy in internal/sim.
 func BenchmarkSampledPipeline(b *testing.B) {
 	s, err := sim.Prepare(kernels.MustGet("bitcount"), 1, synth.DefaultOptions())

@@ -25,9 +25,12 @@ go test -race ./internal/sim ./internal/experiments ./internal/telemetry ./cmd/i
     ./internal/serve ./internal/archive
 
 echo "== benchmark smoke: fetch port stays allocation-free =="
-bench=$(go test -run=NONE -bench=BenchmarkFetchPort -benchtime=10x -benchmem .)
+# The solo port (root package) and the lockstep port carrying one
+# follower cache and meter (internal/sim) must both make zero
+# allocations.
+bench=$(go test -run=NONE -bench=BenchmarkFetchPort -benchtime=10x -benchmem . ./internal/sim)
 echo "$bench"
-if ! echo "$bench" | grep -q "BenchmarkFetchPort.* 0 allocs/op"; then
+if [ "$(echo "$bench" | grep -c "BenchmarkFetchPort.* 0 allocs/op")" -ne 2 ]; then
     echo "ci.sh: BenchmarkFetchPort allocates on the hot path" >&2
     exit 1
 fi
@@ -85,11 +88,12 @@ echo "== sampled estimator: accuracy gate on one kernel =="
 go test ./internal/sim -run 'TestSampledAccuracy/jpeg' -count=1
 
 echo "== perf trajectory: pipeline benchmark record =="
-# Measures the BENCH_pipeline.json rows (schema v5: cycles/sec of the
+# Measures the BENCH_pipeline.json rows (schema v6: cycles/sec of the
 # timing loop, the sampled estimator with its measured cycle error,
 # instrs/sec of the functional machine on all three execution paths,
-# the per-kernel Prepare cost, the design-space sweep, and the serving
-# plane's hit/cold req/sec) and prints a per-entry delta table against
+# the per-kernel Prepare cost, one exact suite with its timing runs,
+# the design-space sweep, and the serving plane's hit/cold req/sec) and
+# prints a per-entry delta table against
 # the committed record. The run writes into a temporary copy, so the
 # tracked file never changes here; refreshing the record is an explicit
 # step:

@@ -18,6 +18,7 @@ import (
 	"powerfits/internal/archive"
 	"powerfits/internal/cache"
 	"powerfits/internal/cpu"
+	"powerfits/internal/experiments"
 	"powerfits/internal/kernels"
 	"powerfits/internal/power"
 	"powerfits/internal/program"
@@ -33,10 +34,12 @@ import (
 // superblock machine row and the sampled-pipeline rows, each carrying
 // its measured cycle error against the exact run; v4 added the
 // design-space sweep rows (cold vs warm store, points_per_sec and the
-// profile memo hit rate); v5 adds the serving-plane rows (Serve/Hit
+// profile memo hit rate); v5 added the serving-plane rows (Serve/Hit
 // replaying the result cache, Serve/Cold running the full flow per
-// request, both with req_per_sec).
-const PipeBenchSchema = "powerfits-pipebench/v5"
+// request, both with req_per_sec); v6 adds the Suite/Exact row (one
+// exact scale-N suite through the experiment engine, with its
+// timing_runs_per_op).
+const PipeBenchSchema = "powerfits-pipebench/v6"
 
 // pipeBenchSchemaPrefix matches any record revision — the delta table
 // tolerates comparing across schema versions (new rows show as added).
@@ -65,8 +68,11 @@ type pipeBenchEntry struct {
 	MemoHitRate  float64 `json:"memo_hit_rate,omitempty"`
 	// ReqPerSec describes the serving-plane rows: /synth requests
 	// answered per second through the in-process handler.
-	ReqPerSec  float64 `json:"req_per_sec,omitempty"`
-	Iterations int     `json:"iterations"`
+	ReqPerSec float64 `json:"req_per_sec,omitempty"`
+	// TimingRunsPerOp describes the suite row: exact pipeline runs the
+	// engine made per suite (engine/timing_runs).
+	TimingRunsPerOp float64 `json:"timing_runs_per_op,omitempty"`
+	Iterations      int     `json:"iterations"`
 }
 
 // pipeBenchReport is the perf-trajectory record successive PRs diff to
@@ -142,17 +148,18 @@ func machineBenchLoop(b *testing.B, p *program.Program, l cpu.Layout, run func(*
 // echoes it to stderr, and returns the entry for post-hoc annotation.
 func (rep *pipeBenchReport) record(name string, r testing.BenchmarkResult) *pipeBenchEntry {
 	e := pipeBenchEntry{
-		Name:         name,
-		NsPerOp:      float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp:  r.AllocsPerOp(),
-		BytesPerOp:   r.AllocedBytesPerOp(),
-		CyclesPerOp:  r.Extra["cycles/op"],
-		CyclesPerSec: r.Extra["cycles/s"],
-		InstrsPerSec: r.Extra["instrs/s"],
-		PointsPerSec: r.Extra["points/s"],
-		MemoHitRate:  r.Extra["memo-hit-rate"],
-		ReqPerSec:    r.Extra["req/s"],
-		Iterations:   r.N,
+		Name:            name,
+		NsPerOp:         float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp:     r.AllocsPerOp(),
+		BytesPerOp:      r.AllocedBytesPerOp(),
+		CyclesPerOp:     r.Extra["cycles/op"],
+		CyclesPerSec:    r.Extra["cycles/s"],
+		InstrsPerSec:    r.Extra["instrs/s"],
+		PointsPerSec:    r.Extra["points/s"],
+		MemoHitRate:     r.Extra["memo-hit-rate"],
+		ReqPerSec:       r.Extra["req/s"],
+		TimingRunsPerOp: r.Extra["timing-runs/op"],
+		Iterations:      r.N,
 	}
 	rep.Entries = append(rep.Entries, e)
 	rate, unit := e.CyclesPerSec, "cycles/s"
@@ -165,6 +172,9 @@ func (rep *pipeBenchReport) record(name string, r testing.BenchmarkResult) *pipe
 	if e.ReqPerSec > 0 {
 		rate, unit = e.ReqPerSec, "req/s"
 	}
+	if e.TimingRunsPerOp > 0 {
+		rate, unit = e.TimingRunsPerOp, "runs/op"
+	}
 	cli.Raw("%-32s %12.0f ns/op %14.0f %-8s %4d allocs/op\n",
 		e.Name, e.NsPerOp, rate, unit, e.AllocsPerOp)
 	return &rep.Entries[len(rep.Entries)-1]
@@ -173,8 +183,8 @@ func (rep *pipeBenchReport) record(name string, r testing.BenchmarkResult) *pipe
 // runPipeBench benchmarks the timing loop for the paper's two headline
 // configurations (full pipeline and sampled estimator, the latter with
 // its measured cycle error), the functional machine on all three
-// execution paths (interpreted, compiled, superblock-fused), and the
-// per-kernel Prepare cost, then writes the JSON trajectory record to
+// execution paths (interpreted, compiled, superblock-fused), the
+// per-kernel Prepare cost and one exact suite run, then writes the JSON trajectory record to
 // path — printing a per-entry delta table first when path already
 // holds a previous record.
 func runPipeBench(path, kernel string, scale int) error {
@@ -247,6 +257,19 @@ func runPipeBench(path, kernel string, scale int) error {
 				}
 			}
 		}))
+
+	rep.record("Suite/Exact", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		var runs uint64
+		for i := 0; i < b.N; i++ {
+			suite, err := experiments.RunSuite(experiments.Options{Scale: scale})
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs += suite.Metrics.Counter("engine/timing_runs").Value()
+		}
+		b.ReportMetric(float64(runs)/float64(b.N), "timing-runs/op")
+	}))
 
 	if err := pipeBenchSweep(&rep, kernel, scale); err != nil {
 		return err

@@ -1,13 +1,14 @@
 // The parallel experiment engine: a bounded worker pool that fans out
-// per-kernel preparation and per-configuration timing runs as
-// independent jobs. Results are keyed and sorted exactly as the
-// sequential path produced them, so the rendered tables are
-// byte-identical at any parallelism (see TestParallelMatchesSequential).
+// per-kernel preparation and per-image timing runs (one
+// sim.Setup.RunConfigs call per ISA) as independent jobs. Results are
+// keyed and sorted exactly as the sequential path produced them, so the
+// rendered tables are byte-identical at any parallelism (see
+// TestParallelMatchesSequential).
 //
 // Goroutine-safety contract (audited per package):
-//   - sim.Setup is immutable after Prepare; Setup.Run builds all
-//     mutable state (cache.Cache, power.Meter, cpu.Machine, layout)
-//     per call.
+//   - sim.Setup is immutable after Prepare; Setup.RunConfigs builds
+//     all mutable state (cache.Cache, power.Meter, cpu.Machine,
+//     layout) per call.
 //   - the predecoded instruction tables (Setup.ArmDecoded /
 //     Setup.FitsDecoded, see cpu.Predecode) are built once in Prepare
 //     and shared read-only by every configuration run of a kernel —
@@ -38,15 +39,32 @@ import (
 )
 
 // KernelTiming records the wall-clock cost of one kernel: preparation
-// (build, profile, synthesis, translation, Thumb sizing) and the timing
-// runs summed over the four configurations, plus the worker slot the
-// preparation ran on.
+// (build, profile, synthesis, translation, Thumb sizing), the timing
+// runs, plus the worker slot the preparation ran on.
 type KernelTiming struct {
 	Kernel     string  `json:"kernel"`
 	PrepareSec float64 `json:"prepare_sec"`
-	RunSec     float64 `json:"run_sec"`
-	Worker     int     `json:"worker"`
+	// RunSec sums the kernel's distinct timing runs: a lockstep run
+	// that produced several configurations' results counts once, a
+	// divergence re-run counts on its own (sim.RunInfo).
+	RunSec float64 `json:"run_sec"`
+	Worker int     `json:"worker"`
 }
+
+// isaGroups partitions the indices of sim.Configs by ISA: each group
+// runs one image and is one sim.Setup.RunConfigs job.
+var isaGroups = func() (gs [][]int) {
+	for _, isa := range []sim.ISA{sim.ISAARM, sim.ISAFITS} {
+		var g []int
+		for ci, cfg := range sim.Configs {
+			if cfg.ISA == isa {
+				g = append(g, ci)
+			}
+		}
+		gs = append(gs, g)
+	}
+	return gs
+}()
 
 // engine is the bounded worker pool shared by every job of one suite
 // generation. Jobs acquire a numbered slot before running; the first
@@ -235,44 +253,57 @@ func RunSuite(opt Options) (*Suite, error) {
 			kr.reg.Histogram("engine/prepare_sec", metrics.DurationBuckets).
 				Observe(kr.timing.PrepareSec)
 
-			// Fan out the four configuration runs as independent jobs.
+			// Fan out one timing job per ISA group of sim.Configs: the
+			// configurations of one image share a lockstep run.
 			kr.results = make([]*sim.Result, len(sim.Configs))
-			runSec := make([]float64, len(sim.Configs))
+			ro := sim.RunOptions{Window: opt.Window}
+			if opt.Sampled {
+				ro = sim.RunOptions{Sample: &opt.Sample}
+			}
 			var cwg sync.WaitGroup
-			for ci, cfg := range sim.Configs {
+			for _, idx := range isaGroups {
 				cwg.Add(1)
-				go func(ci int, cfg sim.Config) {
+				go func(idx []int) {
 					defer cwg.Done()
 					worker, ok := eng.acquire()
 					if !ok {
 						return
 					}
-					t0 := time.Now()
-					ro := sim.RunOptions{Window: opt.Window}
-					if opt.Sampled {
-						ro = sim.RunOptions{Sample: &opt.Sample}
+					cfgs := make([]sim.Config, len(idx))
+					for k, ci := range idx {
+						cfgs[k] = sim.Configs[ci]
 					}
-					r, err := setup.RunWith(cfg, s.Cal, ro)
-					runSec[ci] = time.Since(t0).Seconds()
+					rs, err := setup.RunConfigs(cfgs, s.Cal, ro)
 					eng.release(worker)
 					if err != nil {
 						eng.fail(err)
 						return
 					}
-					kr.results[ci] = r
-				}(ci, cfg)
+					for k, ci := range idx {
+						kr.results[ci] = rs[k]
+					}
+				}(idx)
 			}
 			cwg.Wait()
-			for ci, sec := range runSec {
-				kr.timing.RunSec += sec
-				kscope.Scope(sim.Configs[ci].Name).Gauge("run_sec").Set(sec)
-				kr.reg.Histogram("engine/run_sec", metrics.DurationBuckets).Observe(sec)
-			}
+			timingRuns := kr.reg.Counter("engine/timing_runs")
+			reruns := kr.reg.Counter("engine/lockstep_reruns")
 			for ci, r := range kr.results {
-				if r == nil || r.Sampled == nil {
+				if r == nil {
 					continue
 				}
 				cs := kscope.Scope(sim.Configs[ci].Name)
+				cs.Gauge("run_sec").Set(r.Run.Sec)
+				if r.Run.Lead {
+					kr.timing.RunSec += r.Run.Sec
+					kr.reg.Histogram("engine/run_sec", metrics.DurationBuckets).Observe(r.Run.Sec)
+					timingRuns.Inc()
+				}
+				if r.Run.Rerun {
+					reruns.Inc()
+				}
+				if r.Sampled == nil {
+					continue
+				}
 				cs.Gauge("sample_windows").Set(float64(r.Sampled.Windows))
 				cs.Gauge("sample_detail_frac").Set(
 					float64(r.Sampled.DetailedInstrs) / float64(r.Sampled.TotalInstrs))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -153,8 +154,26 @@ func TestSuiteMetricsRegistry(t *testing.T) {
 	if got := suite.Metrics.Histogram("engine/prepare_sec", metrics.DurationBuckets).Count(); got != nk {
 		t.Errorf("engine/prepare_sec observations = %d, want %d", got, nk)
 	}
-	if got := suite.Metrics.Histogram("engine/run_sec", metrics.DurationBuckets).Count(); got != nk*uint64(len(sim.Configs)) {
-		t.Errorf("engine/run_sec observations = %d, want %d", got, nk*uint64(len(sim.Configs)))
+	// One lockstep timing run per kernel image, plus the re-run of
+	// jpeg/ARM8, the one configuration whose misses leave its image's
+	// lockstep run at scale 1.
+	const timingRuns, reruns = 43, 1
+	if got := suite.Metrics.Counter("engine/timing_runs").Value(); got != timingRuns {
+		t.Errorf("engine/timing_runs = %d, want %d", got, timingRuns)
+	}
+	if got := suite.Metrics.Counter("engine/lockstep_reruns").Value(); got != reruns {
+		t.Errorf("engine/lockstep_reruns = %d, want %d", got, reruns)
+	}
+	runHist := suite.Metrics.Histogram("engine/run_sec", metrics.DurationBuckets)
+	if got := runHist.Count(); got != timingRuns {
+		t.Errorf("engine/run_sec observations = %d, want %d", got, timingRuns)
+	}
+	var runSec float64
+	for _, kt := range suite.Timings {
+		runSec += kt.RunSec
+	}
+	if d := math.Abs(runSec - runHist.Sum()); d > 1e-9*runSec {
+		t.Errorf("kernel run_sec sums to %v, engine/run_sec to %v", runSec, runHist.Sum())
 	}
 	if gauges["engine/workers"] != 4 {
 		t.Errorf("engine/workers = %v, want 4", gauges["engine/workers"])

@@ -149,12 +149,12 @@ func ExtTraffic(scale int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		rs, err := s.RunConfigs(sim.Configs, cal, sim.RunOptions{})
+		if err != nil {
+			return nil, err
+		}
 		row := Row{Name: k.Name}
-		for _, cfg := range sim.Configs {
-			r, err := s.Run(cfg, cal)
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range rs {
 			row.Vals = append(row.Vals, float64(r.Cache.Accesses)/float64(r.Pipe.Instrs))
 		}
 		t.Rows = append(t.Rows, row)

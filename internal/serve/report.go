@@ -75,21 +75,17 @@ func serveRunID(c *Canonical) string {
 // layer stores and replays).
 func (c *Canonical) Evaluate(s *sim.Setup) ([]byte, *Report, error) {
 	cal := power.DefaultCalibration()
-	results := make(map[string]*sim.Result, len(c.Configs))
-	for _, cfg := range c.Configs {
-		var (
-			r   *sim.Result
-			err error
-		)
-		if c.Req.Sampled {
-			r, err = s.RunSampled(cfg, cal, sim.SampleOptions{})
-		} else {
-			r, err = s.Run(cfg, cal)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		results[cfg.Name] = r
+	opt := sim.RunOptions{}
+	if c.Req.Sampled {
+		opt.Sample = &sim.SampleOptions{}
+	}
+	rs, err := s.RunConfigs(c.Configs, cal, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	results := make(map[string]*sim.Result, len(rs))
+	for _, r := range rs {
+		results[r.Config.Name] = r
 	}
 
 	rep := &Report{

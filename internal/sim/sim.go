@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"powerfits/internal/cache"
@@ -240,6 +241,23 @@ type Result struct {
 	// anchor of the tracing profiler: a profiler attached to the run
 	// reports TotalPJ() equal to this value bit-for-bit.
 	AccessPJ float64
+
+	// Run describes the timing run that produced the result.
+	Run RunInfo
+}
+
+// RunInfo describes the timing run behind a Result. Every result of
+// one lockstep run (see RunConfigs) carries the same Sec; exactly one
+// of them, the configuration that drove the cycle loop, is the Lead.
+type RunInfo struct {
+	// Sec is the run's wall-clock duration in seconds.
+	Sec float64
+	// Lead marks the configuration that drove the run; false for a
+	// follower whose numbers came from another configuration's run.
+	Lead bool
+	// Rerun marks a solo run repeated because the configuration's
+	// I-cache hit/miss sequence diverged from its lockstep primary's.
+	Rerun bool
 }
 
 // target resolves the configuration's ISA to its program, image and
@@ -277,6 +295,20 @@ type icachePort struct {
 	textBase uint32
 	block    int
 	buf      []byte // scratch for blocks straddling the text bounds
+
+	// followers are the further cache geometries of a lockstep run
+	// (RunConfigs): each sees every fetch and tick the primary sees
+	// until its hit/miss outcome first differs from the primary's, when
+	// the port drops it.
+	followers []*follower
+}
+
+// follower is one cache and meter a lockstep port drives next to its
+// primary pair.
+type follower struct {
+	c        *cache.Cache
+	m        *power.Meter
+	diverged bool // dropped at its first hit/miss mismatch
 }
 
 func newICachePort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes int) *icachePort {
@@ -308,17 +340,38 @@ func (p *icachePort) FetchBlock(addr uint32) int {
 		}
 	}
 	p.m.Access(addr, blk, !hit)
+	if len(p.followers) != 0 {
+		p.follow(addr, blk, hit)
+	}
 	if hit {
 		return 0
 	}
 	return MissPenalty
 }
 
-func (p *icachePort) Tick() {
-	p.m.Tick()
+// follow replays one fetch on every follower, dropping each whose
+// lookup disagrees with the primary's hit.
+func (p *icachePort) follow(addr uint32, blk []byte, hit bool) {
+	for i := 0; i < len(p.followers); {
+		f := p.followers[i]
+		if f.c.Access(addr) != hit {
+			f.diverged = true
+			p.followers = append(p.followers[:i], p.followers[i+1:]...)
+			continue
+		}
+		f.m.Access(addr, blk, !hit)
+		i++
+	}
 }
 
-// RunOptions selects how Setup.RunWith simulates one configuration.
+func (p *icachePort) Tick() {
+	p.m.Tick()
+	for _, f := range p.followers {
+		f.m.Tick()
+	}
+}
+
+// RunOptions selects how Setup.RunWith and Setup.RunConfigs simulate.
 // The zero value is the exact, unobserved run.
 type RunOptions struct {
 	// Sample, when non-nil, replaces the exact cycle-accurate run with
@@ -336,6 +389,18 @@ type RunOptions struct {
 	Window int
 }
 
+func (opt RunOptions) check() error {
+	switch {
+	case opt.Window < 0:
+		return fmt.Errorf("sim: negative phase window %d", opt.Window)
+	case opt.Window > 0 && opt.Sample != nil:
+		return fmt.Errorf("sim: a phase window requires an exact run, not a sampled one")
+	case opt.Window > 0 && opt.Sink != nil:
+		return fmt.Errorf("sim: a phase window cannot be combined with an event sink")
+	}
+	return nil
+}
+
 // Run executes the prepared kernel under one configuration on the
 // exact timing model. It is safe to call concurrently on the same
 // Setup: every piece of mutable state (cache, meter, layout index,
@@ -347,31 +412,125 @@ func (s *Setup) Run(cfg Config, cal power.Calibration) (*Result, error) {
 // RunWith executes the prepared kernel under one configuration as opt
 // selects: exact or sampled, traced or not, with or without a phase
 // series. Architectural and aggregate results do not depend on the Sink
-// or the Window. Like Run, it is safe to call concurrently on one
-// Setup.
+// or the Window. It is RunConfigs for one configuration and, like Run,
+// safe to call concurrently on one Setup.
 func (s *Setup) RunWith(cfg Config, cal power.Calibration, opt RunOptions) (*Result, error) {
-	switch {
-	case opt.Window < 0:
-		return nil, fmt.Errorf("sim: negative phase window %d", opt.Window)
-	case opt.Window > 0 && opt.Sample != nil:
-		return nil, fmt.Errorf("sim: a phase window requires an exact run, not a sampled one")
-	case opt.Window > 0 && opt.Sink != nil:
-		return nil, fmt.Errorf("sim: a phase window cannot be combined with an event sink")
-	case opt.Sample != nil:
-		return s.runSampled(cfg, cal, *opt.Sample, opt.Sink)
-	}
-	prog, im, dec, _ := s.target(cfg)
-	c, err := cache.New(cfg.Cache)
+	rs, err := s.RunConfigs([]Config{cfg}, cal, opt)
 	if err != nil {
 		return nil, err
 	}
-	meter, err := power.NewMeter(cfg.Cache, cal)
+	return rs[0], nil
+}
+
+// RunConfigs executes the prepared kernel under every configuration of
+// cfgs as opt selects and returns the results in cfgs order, each
+// bit-identical to what RunWith returns for that configuration alone.
+//
+// Exact runs without a Sink or Window share timing runs: the
+// configurations of one ISA run one image, so the first of them drives
+// the cycle loop while the others' caches and meters follow its fetch
+// port in lockstep. The cycle loop reads nothing from the port but the
+// stall, so as long as a follower's hit/miss outcome matches the
+// primary's at every access, its cache and meter receive exactly the
+// calls a solo run would make. A follower whose outcome differs is
+// dropped at that access and re-run alone (Result.Run.Rerun). Sampled,
+// traced and windowed runs go one configuration at a time. Like Run,
+// RunConfigs is safe to call concurrently on one Setup.
+func (s *Setup) RunConfigs(cfgs []Config, cal power.Calibration, opt RunOptions) ([]*Result, error) {
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
+	lockstep := opt.Sample == nil && opt.Sink == nil && opt.Window == 0
+	out := make([]*Result, len(cfgs))
+	// run times one timing run over the configurations at idx and
+	// stores its results; a diverged follower's slot stays nil.
+	run := func(idx []int) error {
+		group := make([]Config, len(idx))
+		for k, i := range idx {
+			group[k] = cfgs[i]
+		}
+		t0 := time.Now()
+		var rs []*Result
+		var err error
+		if opt.Sample != nil {
+			var r *Result
+			r, err = s.runSampled(group[0], cal, *opt.Sample, opt.Sink)
+			rs = []*Result{r}
+		} else {
+			rs, err = s.runExact(group, cal, opt)
+		}
+		if err != nil {
+			return err
+		}
+		sec := time.Since(t0).Seconds()
+		for k, r := range rs {
+			if r != nil {
+				r.Run = RunInfo{Sec: sec, Lead: k == 0}
+				out[idx[k]] = r
+			}
+		}
+		return nil
+	}
+	grouped := make([]bool, len(cfgs))
+	for i := range cfgs {
+		if grouped[i] {
+			continue
+		}
+		idx := []int{i}
+		for j := i + 1; lockstep && j < len(cfgs); j++ {
+			if cfgs[j].ISA == cfgs[i].ISA {
+				idx = append(idx, j)
+				grouped[j] = true
+			}
+		}
+		if err := run(idx); err != nil {
+			return nil, err
+		}
+	}
+	for i, r := range out {
+		if r != nil {
+			continue
+		}
+		if err := run([]int{i}); err != nil {
+			return nil, err
+		}
+		out[i].Run.Rerun = true
+	}
+	return out, nil
+}
+
+// runExact is the one exact-run body. cfgs[0] drives the cycle loop;
+// every further configuration (same ISA, and only when opt has no Sink
+// or Window) follows it in lockstep. The result of a follower that
+// diverged is nil.
+func (s *Setup) runExact(cfgs []Config, cal power.Calibration, opt RunOptions) ([]*Result, error) {
+	lead := cfgs[0]
+	prog, im, dec, _ := s.target(lead)
+	c, err := cache.New(lead.Cache)
+	if err != nil {
+		return nil, err
+	}
+	meter, err := power.NewMeter(lead.Cache, cal)
 	if err != nil {
 		return nil, err
 	}
 	pc := cpu.DefaultPipeConfig()
+	port := newICachePort(c, meter, im, pc.BlockBytes)
+	fs := make([]*follower, len(cfgs)-1)
+	for i, cfg := range cfgs[1:] {
+		f := &follower{}
+		if f.c, err = cache.New(cfg.Cache); err != nil {
+			return nil, err
+		}
+		if f.m, err = power.NewMeter(cfg.Cache, cal); err != nil {
+			return nil, err
+		}
+		fs[i] = f
+	}
+	// The port drops diverged followers from its own copy; fs keeps
+	// every follower for collecting the results.
+	port.followers = slices.Clone(fs)
 	m := cpu.New(prog, cpu.ImageLayout(im))
-	port := NewFetchPort(c, meter, im, pc.BlockBytes)
 	var pres cpu.PipeResult
 	var phases *metrics.Series
 	if opt.Window > 0 {
@@ -381,8 +540,19 @@ func (s *Setup) RunWith(cfg Config, cal power.Calibration, opt RunOptions) (*Res
 		err = cpu.RunPipelineInto(m, pc, port, dec, &pres, opt.Sink)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, cfg.Name, err)
+		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, lead.Name, err)
 	}
-	return &Result{Config: cfg, Pipe: &pres, Cache: c.Stats(), Power: meter.Report(),
-		Phases: phases, AccessPJ: meter.AccessPJ()}, nil
+	out := make([]*Result, len(cfgs))
+	out[0] = &Result{Config: lead, Pipe: &pres, Cache: c.Stats(), Power: meter.Report(),
+		Phases: phases, AccessPJ: meter.AccessPJ()}
+	for i, f := range fs {
+		if f.diverged {
+			continue
+		}
+		pipe := pres
+		pipe.Output = slices.Clone(pres.Output)
+		out[i+1] = &Result{Config: cfgs[i+1], Pipe: &pipe, Cache: f.c.Stats(), Power: f.m.Report(),
+			AccessPJ: f.m.AccessPJ()}
+	}
+	return out, nil
 }
