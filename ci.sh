@@ -88,9 +88,9 @@ echo "== sampled estimator: accuracy gate on one kernel =="
 go test ./internal/sim -run 'TestSampledAccuracy/jpeg' -count=1
 
 echo "== perf trajectory: pipeline benchmark record =="
-# Measures the BENCH_pipeline.json rows (schema v6: cycles/sec of the
-# timing loop, the sampled estimator with its measured cycle error,
-# instrs/sec of the functional machine on all three execution paths,
+# Measures the BENCH_pipeline.json rows (schema v7: cycles/sec of the
+# timing loop, the sampled estimator with its measured cycle error, one
+# lockstep sampled run over both FITS geometries, instrs/sec of the functional machine on all three execution paths,
 # the per-kernel Prepare cost, one exact suite with its timing runs,
 # the design-space sweep, and the serving plane's hit/cold req/sec) and
 # prints a per-entry delta table against
@@ -216,6 +216,18 @@ if ! grep -q "points=12 evaluated=0 archive_skips=12" "$sweep_tmp/warm.log"; the
 fi
 if ! cmp -s "$sweep_tmp/cold.json" "$sweep_tmp/warm.json"; then
     echo "ci.sh: warm sweep document differs from cold (determinism break)" >&2
+    exit 1
+fi
+# Each job prepares one synthesis and times all of its cache sizes, so
+# the worker count changes which points share a goroutine, never the
+# numbers: cold sweeps at -j 1 and -j 4 into fresh stores must write
+# the same document.
+for j in 1 4; do
+    go run ./cmd/powerfits sweep $sweep_axes -j "$j" -dir "$sweep_tmp/store-j$j" \
+        -o "$sweep_tmp/cold-j$j.json" 2>"$sweep_tmp/cold-j$j.log" >/dev/null
+done
+if ! cmp -s "$sweep_tmp/cold-j1.json" "$sweep_tmp/cold-j4.json"; then
+    echo "ci.sh: cold sweep documents differ between -j 1 and -j 4" >&2
     exit 1
 fi
 

@@ -36,10 +36,12 @@ import (
 // design-space sweep rows (cold vs warm store, points_per_sec and the
 // profile memo hit rate); v5 added the serving-plane rows (Serve/Hit
 // replaying the result cache, Serve/Cold running the full flow per
-// request, both with req_per_sec); v6 adds the Suite/Exact row (one
+// request, both with req_per_sec); v6 added the Suite/Exact row (one
 // exact scale-N suite through the experiment engine, with its
-// timing_runs_per_op).
-const PipeBenchSchema = "powerfits-pipebench/v6"
+// timing_runs_per_op); v7 adds the SampledConfigs/FITS row (one sampled
+// RunConfigs over FITS16 and FITS8, the lockstep counterpart of the
+// per-config SampledPipeline rows).
+const PipeBenchSchema = "powerfits-pipebench/v7"
 
 // pipeBenchSchemaPrefix matches any record revision — the delta table
 // tolerates comparing across schema versions (new rows show as added).
@@ -182,7 +184,8 @@ func (rep *pipeBenchReport) record(name string, r testing.BenchmarkResult) *pipe
 
 // runPipeBench benchmarks the timing loop for the paper's two headline
 // configurations (full pipeline and sampled estimator, the latter with
-// its measured cycle error), the functional machine on all three
+// its measured cycle error), one lockstep sampled run over both FITS
+// geometries, the functional machine on all three
 // execution paths (interpreted, compiled, superblock-fused), the
 // per-kernel Prepare cost and one exact suite run, then writes the JSON trajectory record to
 // path — printing a per-entry delta table first when path already
@@ -234,6 +237,17 @@ func runPipeBench(path, kernel string, scale int) error {
 			cli.Raw("%-32s %12s cycle error %.3f%%\n", "", "", e.CycleErrPct)
 		}
 	}
+
+	rep.record("SampledConfigs/FITS",
+		testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.RunConfigs([]sim.Config{sim.FITS16, sim.FITS8}, cal,
+					sim.RunOptions{Sample: &sim.SampleOptions{}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
 
 	l := cpu.WordLayout(s.Prog.TextBase, len(s.Prog.Instrs))
 	comp := cpu.Compile(s.Prog, l)

@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"powerfits/internal/cache"
@@ -132,14 +134,126 @@ func TestRunConfigsDivergence(t *testing.T) {
 				if r.Config != tc.cfgs[i] {
 					t.Fatalf("result %d is %s, want %s", i, r.Config.Name, tc.cfgs[i].Name)
 				}
-				// Without lockstep (sampled) every run leads; otherwise the
-				// first configuration of each ISA and every re-run lead.
-				lead := tc.opt.Sample != nil || !seen[r.Config.ISA] || tc.rerun[i]
+				// The first configuration of each ISA and every re-run lead.
+				lead := !seen[r.Config.ISA] || tc.rerun[i]
 				seen[r.Config.ISA] = true
 				if r.Run.Rerun != tc.rerun[i] || r.Run.Lead != lead {
 					t.Errorf("%s: run %+v, want lead=%t rerun=%t", r.Config.Name, r.Run, lead, tc.rerun[i])
 				}
 				compareSolo(t, s, r, cal, tc.opt)
+			}
+			checkUnaliased(t, rs)
+		})
+	}
+}
+
+// sweepGeometries are the FITS configurations of the design sweep's
+// default cache axis.
+var sweepGeometries = []Config{
+	{Name: "FITS-4K", ISA: ISAFITS, Cache: cache.Config{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 32}},
+	{Name: "FITS-8K", ISA: ISAFITS, Cache: cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 32}},
+	{Name: "FITS-16K", ISA: ISAFITS, Cache: cache.Config{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 32}},
+}
+
+// TestRunConfigsSampledMatchesSolo runs every kernel's sweep geometries
+// and the paper's four configurations through one sampled RunConfigs
+// call — one lockstep sampled run per image, plus any divergence
+// re-run — and asserts each result equals a solo sampled run bit for
+// bit: pipeline result and Output, cache stats, power report, sampling
+// stats with both intervals, and AccessPJ.
+func TestRunConfigsSampledMatchesSolo(t *testing.T) {
+	cal := power.DefaultCalibration()
+	cfgs := append(slices.Clone(sweepGeometries), Configs...)
+	opt := RunOptions{Sample: &SampleOptions{}}
+	var followers atomic.Int64
+	t.Run("kernels", func(t *testing.T) {
+		for _, k := range kernels.All() {
+			k := k
+			t.Run(k.Name, func(t *testing.T) {
+				t.Parallel()
+				s, err := Prepare(k, 1, synth.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs, err := s.RunConfigs(cfgs, cal, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range rs {
+					if r.Config != cfgs[i] {
+						t.Fatalf("result %d is %s, want %s", i, r.Config.Name, cfgs[i].Name)
+					}
+					if r.Sampled == nil {
+						t.Fatalf("%s: sampled run carries no SampleStats", r.Config.Name)
+					}
+					if !r.Run.Lead {
+						followers.Add(1)
+					}
+					compareSolo(t, s, r, cal, opt)
+				}
+				checkUnaliased(t, rs)
+			})
+		}
+	})
+	if followers.Load() == 0 {
+		t.Error("no configuration followed a lockstep sampled run")
+	}
+}
+
+// TestRunConfigsSampledGroups drives sampled groups through their edge
+// cases: forced divergences in either direction, both exact fallbacks,
+// and a mixed-line-size group that must not share one run. Every result
+// must equal its solo sampled run, with the expected lead and re-run
+// marks.
+func TestRunConfigsSampledGroups(t *testing.T) {
+	cal := power.DefaultCalibration()
+	// blowfish's FITS text conflicts in a 512-byte direct-mapped cache.
+	tiny := Config{Name: "FITS512-DM", ISA: ISAFITS,
+		Cache: cache.Config{SizeBytes: 512, LineBytes: 32, Assoc: 1}}
+	line16 := Config{Name: "FITS16-L16", ISA: ISAFITS,
+		Cache: cache.Config{SizeBytes: 16 << 10, LineBytes: 16, Assoc: 32}}
+	cases := []struct {
+		name        string
+		cfgs        []Config
+		sample      SampleOptions
+		lead, rerun []bool // per cfgs entry
+		exact       bool   // every result is an exact fallback
+	}{
+		{"tiny-follower", []Config{FITS16, tiny}, SampleOptions{},
+			[]bool{true, true}, []bool{false, true}, false},
+		{"tiny-lead", []Config{tiny, FITS16, FITS8}, SampleOptions{},
+			[]bool{true, true, true}, []bool{false, true, true}, false},
+		{"head", []Config{ARM16, ARM8, tiny}, SampleOptions{HeadInstrs: 1 << 40},
+			[]bool{true, false, true}, []bool{false, false, false}, true},
+		{"quota", []Config{ARM16, ARM8, FITS16, tiny}, SampleOptions{MinWindows: 1 << 20},
+			[]bool{true, false, true, true}, []bool{false, false, false, true}, true},
+		{"line-size", []Config{FITS16, line16, FITS8}, SampleOptions{},
+			[]bool{true, true, false}, []bool{false, false, false}, false},
+	}
+	s, err := Prepare(kernels.MustGet("blowfish"), 1, synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			opt := RunOptions{Sample: &tc.sample}
+			rs, err := s.RunConfigs(tc.cfgs, cal, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range rs {
+				if r.Config != tc.cfgs[i] {
+					t.Fatalf("result %d is %s, want %s", i, r.Config.Name, tc.cfgs[i].Name)
+				}
+				if r.Run.Lead != tc.lead[i] || r.Run.Rerun != tc.rerun[i] {
+					t.Errorf("%s: run %+v, want lead=%t rerun=%t", r.Config.Name, r.Run, tc.lead[i], tc.rerun[i])
+				}
+				if r.Sampled == nil || r.Sampled.Exact != tc.exact {
+					t.Errorf("%s: sampling stats %+v, want exact=%t", r.Config.Name, r.Sampled, tc.exact)
+				}
+				compareSolo(t, s, r, cal, opt)
 			}
 			checkUnaliased(t, rs)
 		})

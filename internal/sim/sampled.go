@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"powerfits/internal/cache"
@@ -122,14 +123,6 @@ type sampleSnap struct {
 	lkPJ   float64
 }
 
-func takeSnap(res *cpu.PipeResult, m *cpu.Machine, c *cache.Cache, meter *power.Meter) sampleSnap {
-	s := sampleSnap{pipe: *res, instrs: m.InstrCount}
-	st := c.Stats()
-	s.acc, s.miss = st.Accesses, st.Misses
-	s.swPJ, s.inPJ, s.lkPJ = meter.EnergyPJ()
-	return s
-}
-
 // sub returns the counter deltas a-b. The Output slice inside the
 // embedded PipeResult is not meaningful on a delta and is cleared.
 func (a sampleSnap) sub(b sampleSnap) sampleSnap {
@@ -184,14 +177,41 @@ func (a *sampleSnap) add(d sampleSnap) {
 // covRange is one remembered warm-cover window (see sampleState).
 type covRange struct{ lo, hi uint32 }
 
+// sampleLane is one configuration's share of a sampled run: its cache
+// and meter (the lead's, or a follower's riding the lead's fetch port),
+// and the snapshots, window sums and per-window energy ratios its
+// estimate is formed from.
+type sampleLane struct {
+	cfg Config
+	c   *cache.Cache
+	m   *power.Meter
+	f   *follower // nil for the lead
+
+	head, w0, wsum sampleSnap
+	energyRatios   []float64
+}
+
+// live reports whether the lane still rides the run: the lead always
+// does, a follower until its first hit/miss mismatch.
+func (ln *sampleLane) live() bool { return ln.f == nil || !ln.f.diverged }
+
+// snap captures the lane's counters at the run's current point.
+func (ln *sampleLane) snap(res *cpu.PipeResult, m *cpu.Machine) sampleSnap {
+	s := sampleSnap{pipe: *res, instrs: m.InstrCount}
+	st := ln.c.Stats()
+	s.acc, s.miss = st.Accesses, st.Misses
+	s.swPJ, s.inPJ, s.lkPJ = ln.m.EnergyPJ()
+	return s
+}
+
 // sampleState is the per-run scratch of the sampled loop, hoisted into
 // one allocation so the window loop itself stays off the heap: the
-// warm-cover memo behind the functional fast-forward, and the
-// per-window ratio series preallocated from the profile's dynamic
+// warm-cover memo behind the functional fast-forward, the per-window
+// cycle ratio series shared by every lane, and the lanes with their
+// energy ratio series, all preallocated from the profile's dynamic
 // instruction count. The run's total allocation count is pinned by
 // TestSampledAllocsPinned.
 type sampleState struct {
-	c         *cache.Cache
 	lineMask  uint32
 	lineBytes uint32
 
@@ -201,52 +221,72 @@ type sampleState struct {
 	// lines are resident and their relative recency cannot change while
 	// execution cycles within them. The memo is cleared at each
 	// segment start because detailed windows run between segments and
-	// may evict lines the memo still claims as covered.
+	// may evict lines the memo still claims as covered. Its skip
+	// decisions depend only on the (lo, hi) sequence and the line mask,
+	// so one memo serves every lane of equal line size.
 	cov    [4]covRange
 	covIdx int
 
-	cycleRatios  []float64
-	energyRatios []float64
+	cycleRatios []float64
+	lanes       []sampleLane
+	// lane0 backs lanes in a fresh state, so the common one-configuration
+	// run costs no lane allocation of its own.
+	lane0 [1]sampleLane
 }
 
 // samplePool recycles sampleStates (and the ratio slices they carry)
 // across sampled runs. A one-shot CLI run never notices, but the serve
-// hot path issues one RunSampled per request per configuration, and
-// without the pool each pays the scratch allocations anew.
-var samplePool = sync.Pool{New: func() any { return new(sampleState) }}
+// hot path issues sampled runs per request, and without the pool each
+// pays the scratch allocations anew.
+var samplePool = sync.Pool{New: func() any {
+	st := new(sampleState)
+	st.lanes = st.lane0[:]
+	return st
+}}
 
 // newSampleState checks a recycled (or fresh) sampleState out of the
-// pool, bound to this run's cache and geometry, with ratio capacity of
-// at least hint.
-func newSampleState(c *cache.Cache, lineBytes int, hint int) *sampleState {
+// pool with one lane per configuration of cfgs (all of lineBytes) and
+// ratio capacity of at least hint per series.
+func newSampleState(cfgs []Config, lineBytes int, hint int) *sampleState {
 	st := samplePool.Get().(*sampleState)
-	st.c = c
 	st.lineMask = ^uint32(lineBytes - 1)
 	st.lineBytes = uint32(lineBytes)
 	st.cov = [4]covRange{}
 	st.covIdx = 0
-	if cap(st.cycleRatios) < hint {
-		st.cycleRatios = make([]float64, 0, hint)
-		st.energyRatios = make([]float64, 0, hint)
-	} else {
-		st.cycleRatios = st.cycleRatios[:0]
-		st.energyRatios = st.energyRatios[:0]
+	st.cycleRatios = ratios(st.cycleRatios, hint)
+	if cap(st.lanes) < len(cfgs) {
+		st.lanes = append(st.lanes[:cap(st.lanes)], make([]sampleLane, len(cfgs)-cap(st.lanes))...)
+	}
+	st.lanes = st.lanes[:len(cfgs)]
+	for i := range st.lanes {
+		st.lanes[i] = sampleLane{cfg: cfgs[i], energyRatios: ratios(st.lanes[i].energyRatios, hint)}
 	}
 	return st
 }
 
-// release returns the state to the pool. The cache reference is
-// dropped so a pooled state never pins a dead run's cache arrays.
+// ratios returns s emptied, with capacity of at least hint.
+func ratios(s []float64, hint int) []float64 {
+	if cap(s) < hint {
+		return make([]float64, 0, hint)
+	}
+	return s[:0]
+}
+
+// release returns the state to the pool. Cache and meter references
+// are dropped so a pooled state never pins a dead run's arrays.
 func (st *sampleState) release() {
-	st.c = nil
+	for i := range st.lanes {
+		st.lanes[i] = sampleLane{energyRatios: st.lanes[i].energyRatios}
+	}
 	samplePool.Put(st)
 }
 
 // warm is the fast-forward's fetch witness: functional cache warming.
 // Fast-forwarded code still touches its I-cache lines (without charging
 // time or energy), so each measured window opens on the cache contents
-// the exact run would have. The snapshots bracketing windows make the
-// warming traffic itself invisible to the estimator.
+// the exact run would have. Every live lane's cache receives the touches
+// a solo run of its configuration would make. The snapshots bracketing
+// windows make the warming traffic itself invisible to the estimator.
 func (st *sampleState) warm(lo, hi uint32) {
 	for _, r := range st.cov {
 		if lo >= r.lo && hi <= r.hi {
@@ -254,8 +294,14 @@ func (st *sampleState) warm(lo, hi uint32) {
 		}
 	}
 	l := lo & st.lineMask
-	for a := l; a < hi; a += st.lineBytes {
-		st.c.Access(a)
+	for i := range st.lanes {
+		ln := &st.lanes[i]
+		if !ln.live() {
+			continue
+		}
+		for a := l; a < hi; a += st.lineBytes {
+			ln.c.Access(a)
+		}
 	}
 	st.cov[st.covIdx] = covRange{l, hi}
 	st.covIdx = (st.covIdx + 1) & 3
@@ -278,44 +324,63 @@ func (st *sampleState) resetWarm() {
 // RunSampled is RunWith with only Sample set. Like Run, it is safe to
 // call concurrently on one Setup.
 func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions) (*Result, error) {
-	return s.runSampled(cfg, cal, opt, nil)
+	var out [1]*Result
+	if err := s.runSampled([]Config{cfg}, out[:], cal, opt, nil); err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// runSampled is RunWith's sampled body. With a sink attached, the
-// detailed segments stream the same pipeline events a traced full run
-// would, the functional fast-forwards emit one KindSuperblock event per
-// executed batch, and every sampling boundary (head end, warmup start,
-// measure start/end) emits a KindWindow event, so a consumer can tell
-// measured cycles from extrapolated ones. When the run halts before
-// MinWindows measured windows, the fallback exact simulation is traced
-// too (its events follow the aborted sampled prefix's in the same sink,
-// with a fresh meter bound for energy attribution).
-func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink) (*Result, error) {
+// runSampled is the one sampled body. It stores the result of cfgs[i]
+// in out[i]. cfgs[0] drives the cycle loop; every further configuration
+// (same ISA and line size, and only without a sink) follows it in
+// lockstep as runExact's followers do: its cache and meter ride the
+// lead's fetch port through the head, warmup and window segments, its
+// cache takes the fast-forward's warming touches, and its snapshots,
+// window sums and estimate are its own. The slot of a follower that
+// diverged stays nil.
+//
+// With a sink attached, the detailed segments stream the same pipeline
+// events a traced full run would, the functional fast-forwards emit one
+// KindSuperblock event per executed batch, and every sampling boundary
+// (head end, warmup start, measure start/end) emits a KindWindow event,
+// so a consumer can tell measured cycles from extrapolated ones. When
+// the run halts before MinWindows measured windows, the fallback exact
+// simulation is traced too (its events follow the aborted sampled
+// prefix's in the same sink, with a fresh meter bound for energy
+// attribution).
+func (s *Setup) runSampled(cfgs []Config, out []*Result, cal power.Calibration, opt SampleOptions, sink tracing.EventSink) error {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	prog, im, dec, comp := s.target(cfg)
-	c, err := cache.New(cfg.Cache)
+	lead := cfgs[0]
+	prog, im, dec, comp := s.target(lead)
+	c, err := cache.New(lead.Cache)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	meter, err := power.NewMeter(cfg.Cache, cal)
+	meter, err := power.NewMeter(lead.Cache, cal)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	fs, err := newFollowers(cfgs[1:], cal)
+	if err != nil {
+		return err
 	}
 	bindEnergy(sink, meter)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
-	port := NewFetchPort(c, meter, im, pc.BlockBytes)
+	port := newICachePort(c, meter, im, pc.BlockBytes)
+	port.followers = slices.Clone(fs)
 
 	var pres cpu.PipeResult
 	run, err := cpu.NewPipelineRun(m, pc, port, dec, &pres, sink)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, cfg.Name, err)
+		return fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, lead.Name, err)
 	}
 	wrap := func(err error) error {
-		return fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, cfg.Name, err)
+		return fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, lead.Name, err)
 	}
 	boundary := func(code uint8) {
 		if sink != nil {
@@ -324,45 +389,53 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		}
 	}
 
+	// Pooled per-run scratch: the warm-cover memo, the lanes and the
+	// ratio series, the latter sized from the profiled dynamic
+	// instruction count (a hint — the FITS stream may run slightly
+	// longer or shorter than the profiled ARM one). The deferred
+	// release runs after the estimates below have consumed the series.
+	hint := int(s.Profile.TotalDyn/opt.PeriodInstrs) + 4
+	st := newSampleState(cfgs, lead.Cache.LineBytes, hint)
+	defer st.release()
+	lanes := st.lanes
+	lanes[0].c, lanes[0].m = c, meter
+	for i, f := range fs {
+		lanes[i+1].c, lanes[i+1].m, lanes[i+1].f = f.c, f.m, f
+	}
+
 	// Detailed head: the cold-start behaviour is measured exactly.
 	if err := run.RunUntil(opt.HeadInstrs); err != nil {
-		return nil, wrap(err)
+		return wrap(err)
 	}
-	head := takeSnap(&pres, m, c, meter)
+	for i := range lanes {
+		lanes[i].head = lanes[i].snap(&pres, m)
+	}
 	boundary(tracing.WindowHead)
 
 	ff := opt.PeriodInstrs - opt.WarmupInstrs - opt.WindowInstrs
-	// Pooled per-window scratch: the warm-cover memo and the ratio
-	// series, the latter sized from the profiled dynamic instruction
-	// count (a hint — the FITS stream may run slightly longer or
-	// shorter than the profiled ARM one). The deferred release runs
-	// after the SampleStats below has consumed the ratio series.
-	hint := int(s.Profile.TotalDyn/opt.PeriodInstrs) + 4
-	st := newSampleState(c, cfg.Cache.LineBytes, hint)
-	defer st.release()
 	warm := st.warm // bind the method value once, not per fast-forward
-	var wsum sampleSnap
-	detailed := head.instrs
+	detailed := m.InstrCount
+	var sampled uint64 // instructions inside measured windows
 	for !m.Halted {
 		// Functional fast-forward on the superblock executor: the
-		// architectural state (and Output) advances exactly; the meter
-		// stands still and the cache sees only warming touches.
+		// architectural state (and Output) advances exactly; the meters
+		// stand still and the caches see only warming touches.
 		st.resetWarm()
 		if err := m.RunSuperblocksN(comp, ff, warm, sink); err != nil {
-			return nil, wrap(err)
+			return wrap(err)
 		}
 		if m.Halted {
 			break
 		}
 		if err := run.Resync(); err != nil {
-			return nil, wrap(err)
+			return wrap(err)
 		}
 		// Detailed but unmeasured warmup: re-warms the fetch window,
-		// interlocks and cache before measurement resumes.
+		// interlocks and caches before measurement resumes.
 		boundary(tracing.WindowWarmup)
 		preWarm := m.InstrCount
 		if err := run.RunUntil(preWarm + opt.WarmupInstrs); err != nil {
-			return nil, wrap(err)
+			return wrap(err)
 		}
 		detailed += m.InstrCount - preWarm
 		if m.Halted {
@@ -370,72 +443,127 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		}
 		// Measured window.
 		boundary(tracing.WindowMeasure)
-		w0 := takeSnap(&pres, m, c, meter)
-		if err := run.RunUntil(w0.instrs + opt.WindowInstrs); err != nil {
-			return nil, wrap(err)
+		for i := range lanes {
+			lanes[i].w0 = lanes[i].snap(&pres, m)
 		}
-		w1 := takeSnap(&pres, m, c, meter)
+		w0 := m.InstrCount
+		if err := run.RunUntil(w0 + opt.WindowInstrs); err != nil {
+			return wrap(err)
+		}
 		boundary(tracing.WindowEnd)
-		d := w1.sub(w0)
-		detailed += d.instrs
-		if d.instrs == 0 {
+		n := m.InstrCount - w0
+		detailed += n
+		if n == 0 {
 			continue
 		}
-		wsum.add(d)
+		sampled += n
 		// The per-window ratios feeding the variance estimate exclude
 		// miss stalls: miss totals come from the warmed cache's actual
-		// count, not from window extrapolation (see below).
-		st.cycleRatios = append(st.cycleRatios, float64(d.pipe.Cycles-d.pipe.FetchStalls)/float64(d.instrs))
-		st.energyRatios = append(st.energyRatios, (d.swPJ+d.inPJ+d.lkPJ)/float64(d.instrs))
+		// count, not from window extrapolation (see estimate). Every
+		// live lane saw the lead's cycles, so the cycle ratio is shared.
+		var d sampleSnap
+		for i := range lanes {
+			ln := &lanes[i]
+			if !ln.live() {
+				continue
+			}
+			d = ln.snap(&pres, m).sub(ln.w0)
+			ln.wsum.add(d)
+			ln.energyRatios = append(ln.energyRatios, (d.swPJ+d.inPJ+d.lkPJ)/float64(n))
+		}
+		st.cycleRatios = append(st.cycleRatios, float64(d.pipe.Cycles-d.pipe.FetchStalls)/float64(n))
 	}
 
 	total := m.InstrCount
 	windows := len(st.cycleRatios)
 	if windows < opt.MinWindows {
-		if wsum.instrs == 0 && detailed == total {
+		if sampled == 0 && detailed == total {
 			// The program halted inside the detailed head: this run IS
-			// the exact simulation — no rerun needed.
-			res := &Result{Config: cfg, Pipe: &pres, Cache: c.Stats(),
-				Power: meter.Report(), AccessPJ: meter.AccessPJ()}
-			res.Sampled = &SampleStats{TotalInstrs: total, DetailedInstrs: total, Exact: true}
-			return res, nil
+			// the exact simulation of every live lane — no rerun needed.
+			for i := range lanes {
+				ln := &lanes[i]
+				if !ln.live() {
+					continue
+				}
+				pipe := &pres
+				if i > 0 {
+					cp := pres
+					cp.Output = slices.Clone(pres.Output)
+					pipe = &cp
+				}
+				out[i] = &Result{Config: ln.cfg, Pipe: pipe, Cache: ln.c.Stats(),
+					Power: ln.m.Report(), AccessPJ: ln.m.AccessPJ(),
+					Sampled: &SampleStats{TotalInstrs: total, DetailedInstrs: total, Exact: true}}
+			}
+			return nil
 		}
 		// Too short to estimate: fall back to the exact full pipeline
-		// (traced when a sink is attached, so the event stream and any
-		// bound energy attribution follow the run that produced the
-		// result).
-		res, err := s.RunWith(cfg, cal, RunOptions{Sink: sink})
+		// over the live lanes (traced when a sink is attached, so the
+		// event stream and any bound energy attribution follow the run
+		// that produced the result).
+		var idx []int
+		var live []Config
+		for i := range lanes {
+			if lanes[i].live() {
+				idx = append(idx, i)
+				live = append(live, lanes[i].cfg)
+			}
+		}
+		rs, err := s.RunConfigs(live, cal, RunOptions{Sink: sink})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Sampled = &SampleStats{
-			Windows:        windows,
-			TotalInstrs:    res.Pipe.Instrs,
-			DetailedInstrs: res.Pipe.Instrs,
-			Exact:          true,
+		for k, r := range rs {
+			r.Sampled = &SampleStats{
+				Windows:        windows,
+				TotalInstrs:    r.Pipe.Instrs,
+				DetailedInstrs: r.Pipe.Instrs,
+				Exact:          true,
+			}
+			out[idx[k]] = r
 		}
-		return res, nil
+		return nil
 	}
 
-	// The estimate splits into a transient and a stationary part.
-	//
-	// Misses are transient: compulsory first-touches land wherever the
-	// program first reaches code, not at a steady per-instruction rate,
-	// so extrapolating window miss rates is badly biased in either
-	// direction. Instead, the warmed cache has seen (at line
-	// granularity) the whole run's fetch stream — head, fast-forwards,
-	// warmups and windows alike — so its own cumulative miss count IS
-	// the miss estimate, and stalls follow as misses × MissPenalty.
-	//
-	// Everything else (issue behaviour, hazards, branches, accesses) is
-	// stationary per instruction and uses the ratio estimator:
-	// total_q = head_q + (Σ window Δq / Σ window Δinstrs) × tail.
+	for i := range lanes {
+		ln := &lanes[i]
+		if !ln.live() {
+			continue
+		}
+		output := m.Output
+		if i > 0 {
+			output = slices.Clone(output)
+		}
+		out[i] = estimate(ln, cal, total, detailed, st.cycleRatios, output)
+	}
+	return nil
+}
+
+// estimate forms one lane's sampled result from its head snapshot,
+// window sums and warmed cache, for a run of total instructions of
+// which detailed were simulated cycle-accurately.
+//
+// The estimate splits into a transient and a stationary part.
+//
+// Misses are transient: compulsory first-touches land wherever the
+// program first reaches code, not at a steady per-instruction rate, so
+// extrapolating window miss rates is badly biased in either direction.
+// Instead, the warmed cache has seen (at line granularity) the whole
+// run's fetch stream — head, fast-forwards, warmups and windows alike —
+// so its own cumulative miss count IS the miss estimate, and stalls
+// follow as misses × MissPenalty.
+//
+// Everything else (issue behaviour, hazards, branches, accesses) is
+// stationary per instruction and uses the ratio estimator:
+// total_q = head_q + (Σ window Δq / Σ window Δinstrs) × tail.
+func estimate(ln *sampleLane, cal power.Calibration, total, detailed uint64, cycleRatios []float64, output []uint32) *Result {
+	head, wsum := &ln.head, &ln.wsum
 	tail := float64(total - head.instrs)
 	wi := float64(wsum.instrs)
 	est := func(headQ uint64, sumQ uint64) uint64 {
 		return headQ + uint64(math.Round(float64(sumQ)/wi*tail))
 	}
-	estMiss := c.Stats().Misses
+	estMiss := ln.c.Stats().Misses
 	estStalls := uint64(MissPenalty) * estMiss
 	nmCycles := est(head.pipe.Cycles-head.pipe.FetchStalls, wsum.pipe.Cycles-wsum.pipe.FetchStalls)
 	estCycles := nmCycles + estStalls
@@ -464,7 +592,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		ZeroIssueFetch:  est(head.pipe.ZeroIssueFetch, wsum.pipe.ZeroIssueFetch),
 		ZeroIssueHazard: est(head.pipe.ZeroIssueHazard, wsum.pipe.ZeroIssueHazard),
 		DualIssueCycles: est(head.pipe.DualIssueCycles, wsum.pipe.DualIssueCycles),
-		Output:          m.Output,
+		Output:          output,
 	}
 	stats := cache.Stats{Accesses: estAcc, Misses: estMiss}
 
@@ -474,7 +602,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 	// (where they are measured, not assumed) and apply to the estimated
 	// counts, so the only approximation left is in the counts
 	// themselves.
-	fillPJ := cal.FillPJPerBit * float64(cfg.Cache.LineBytes*8)
+	fillPJ := cal.FillPJPerBit * float64(ln.cfg.Cache.LineBytes*8)
 	detCyc := float64(head.pipe.Cycles + wsum.pipe.Cycles)
 	detAcc := float64(head.pipe.FetchAccesses + wsum.pipe.FetchAccesses)
 	detMiss := float64(head.miss + wsum.miss)
@@ -487,7 +615,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		estLk = (head.lkPJ + wsum.lkPJ) / detCyc * float64(estCycles)
 	}
 
-	detailedRep := meter.Report()
+	detailedRep := ln.m.Report()
 	rep := power.Report{
 		SwitchingPJ: estSw,
 		InternalPJ:  estIn,
@@ -503,15 +631,15 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 	}
 
 	ss := &SampleStats{
-		Windows:        windows,
+		Windows:        len(cycleRatios),
 		TotalInstrs:    total,
 		DetailedInstrs: detailed,
 		SampledInstrs:  wsum.instrs,
-		CycleRelCI:     relCI(st.cycleRatios, float64(wsum.pipe.Cycles-wsum.pipe.FetchStalls)/wi, tail, float64(estCycles)),
-		EnergyRelCI:    relCI(st.energyRatios, (wsum.swPJ+wsum.inPJ+wsum.lkPJ)/wi, tail, rep.TotalPJ()),
+		CycleRelCI:     relCI(cycleRatios, float64(wsum.pipe.Cycles-wsum.pipe.FetchStalls)/wi, tail, float64(estCycles)),
+		EnergyRelCI:    relCI(ln.energyRatios, (wsum.swPJ+wsum.inPJ+wsum.lkPJ)/wi, tail, rep.TotalPJ()),
 	}
-	return &Result{Config: cfg, Pipe: pipe, Cache: stats, Power: rep, Sampled: ss,
-		AccessPJ: meter.AccessPJ()}, nil
+	return &Result{Config: ln.cfg, Pipe: pipe, Cache: stats, Power: rep, Sampled: ss,
+		AccessPJ: ln.m.AccessPJ()}
 }
 
 // relCI returns the half-width of the 95 % confidence interval on an

@@ -311,6 +311,23 @@ type follower struct {
 	diverged bool // dropped at its first hit/miss mismatch
 }
 
+// newFollowers builds a follower cache and meter for each of cfgs.
+func newFollowers(cfgs []Config, cal power.Calibration) ([]*follower, error) {
+	fs := make([]*follower, len(cfgs))
+	for i, cfg := range cfgs {
+		f := &follower{}
+		var err error
+		if f.c, err = cache.New(cfg.Cache); err != nil {
+			return nil, err
+		}
+		if f.m, err = power.NewMeter(cfg.Cache, cal); err != nil {
+			return nil, err
+		}
+		fs[i] = f
+	}
+	return fs, nil
+}
+
 func newICachePort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes int) *icachePort {
 	return &icachePort{c: c, m: m, text: im.Text, textBase: im.TextBase,
 		block: blockBytes, buf: make([]byte, blockBytes)}
@@ -426,21 +443,23 @@ func (s *Setup) RunWith(cfg Config, cal power.Calibration, opt RunOptions) (*Res
 // cfgs as opt selects and returns the results in cfgs order, each
 // bit-identical to what RunWith returns for that configuration alone.
 //
-// Exact runs without a Sink or Window share timing runs: the
-// configurations of one ISA run one image, so the first of them drives
-// the cycle loop while the others' caches and meters follow its fetch
-// port in lockstep. The cycle loop reads nothing from the port but the
-// stall, so as long as a follower's hit/miss outcome matches the
-// primary's at every access, its cache and meter receive exactly the
-// calls a solo run would make. A follower whose outcome differs is
-// dropped at that access and re-run alone (Result.Run.Rerun). Sampled,
-// traced and windowed runs go one configuration at a time. Like Run,
-// RunConfigs is safe to call concurrently on one Setup.
+// Runs without a Sink or Window share timing runs: the configurations
+// of one ISA run one image, so the first of them drives the cycle loop
+// while the others' caches and meters follow its fetch port in
+// lockstep. The cycle loop reads nothing from the port but the stall,
+// so as long as a follower's hit/miss outcome matches the primary's at
+// every access, its cache and meter receive exactly the calls a solo
+// run would make. A follower whose outcome differs is dropped at that
+// access and re-run alone (Result.Run.Rerun). A sampled group also
+// needs one line size, because its fast-forward's warming touches are
+// the same line walk for every cache only then. Traced and windowed
+// runs go one configuration at a time. Like Run, RunConfigs is safe to
+// call concurrently on one Setup.
 func (s *Setup) RunConfigs(cfgs []Config, cal power.Calibration, opt RunOptions) ([]*Result, error) {
 	if err := opt.check(); err != nil {
 		return nil, err
 	}
-	lockstep := opt.Sample == nil && opt.Sink == nil && opt.Window == 0
+	lockstep := opt.Sink == nil && opt.Window == 0
 	out := make([]*Result, len(cfgs))
 	// run times one timing run over the configurations at idx and
 	// stores its results; a diverged follower's slot stays nil.
@@ -453,9 +472,8 @@ func (s *Setup) RunConfigs(cfgs []Config, cal power.Calibration, opt RunOptions)
 		var rs []*Result
 		var err error
 		if opt.Sample != nil {
-			var r *Result
-			r, err = s.runSampled(group[0], cal, *opt.Sample, opt.Sink)
-			rs = []*Result{r}
+			rs = make([]*Result, len(group))
+			err = s.runSampled(group, rs, cal, *opt.Sample, opt.Sink)
 		} else {
 			rs, err = s.runExact(group, cal, opt)
 		}
@@ -478,7 +496,8 @@ func (s *Setup) RunConfigs(cfgs []Config, cal power.Calibration, opt RunOptions)
 		}
 		idx := []int{i}
 		for j := i + 1; lockstep && j < len(cfgs); j++ {
-			if cfgs[j].ISA == cfgs[i].ISA {
+			if cfgs[j].ISA == cfgs[i].ISA &&
+				(opt.Sample == nil || cfgs[j].Cache.LineBytes == cfgs[i].Cache.LineBytes) {
 				idx = append(idx, j)
 				grouped[j] = true
 			}
@@ -514,19 +533,12 @@ func (s *Setup) runExact(cfgs []Config, cal power.Calibration, opt RunOptions) (
 	if err != nil {
 		return nil, err
 	}
+	fs, err := newFollowers(cfgs[1:], cal)
+	if err != nil {
+		return nil, err
+	}
 	pc := cpu.DefaultPipeConfig()
 	port := newICachePort(c, meter, im, pc.BlockBytes)
-	fs := make([]*follower, len(cfgs)-1)
-	for i, cfg := range cfgs[1:] {
-		f := &follower{}
-		if f.c, err = cache.New(cfg.Cache); err != nil {
-			return nil, err
-		}
-		if f.m, err = power.NewMeter(cfg.Cache, cal); err != nil {
-			return nil, err
-		}
-		fs[i] = f
-	}
 	// The port drops diverged followers from its own copy; fs keeps
 	// every follower for collecting the results.
 	port.followers = slices.Clone(fs)

@@ -3,15 +3,17 @@
 // ablations × cache geometry) points for one kernel and emits the
 // Pareto frontier of fetch energy vs code size vs cycles.
 //
-// Three layers make a sweep fast enough to explore thousands of
+// Four layers make a sweep fast enough to explore thousands of
 // points. The profiling pass is memoized (profile.Cache threaded
 // through sim.PrepareWith), so every synthesis point of a kernel
-// shares one run of its most expensive stage. Every point has a
-// deterministic run ID under the internal/archive scheme, probed
-// against the store before evaluation — a re-sweep after an interrupt,
-// or an extension of the grid, only simulates points it has never
-// seen. And evaluation defaults to the sampled timing estimator
-// (validated ≤2 % error), with only the frontier re-run exactly.
+// shares one run of its most expensive stage. The points that differ
+// only in cache geometry share one preparation and one lockstep
+// sim.Setup.RunConfigs call. Every point has a deterministic run ID
+// under the internal/archive scheme, probed against the store before
+// evaluation — a re-sweep after an interrupt, or an extension of the
+// grid, only simulates points it has never seen. And evaluation
+// defaults to the sampled timing estimator (validated ≤2 % error),
+// with only the frontier re-run exactly.
 //
 // Results are deterministic: the frontier document is byte-identical
 // at any worker count, and identical between a cold sweep and a

@@ -182,16 +182,17 @@ func Run(opt Options) (*Result, error) {
 	}
 
 	e := &engine{
-		opt:      opt,
-		grid:     g,
-		kernel:   k,
-		cal:      cal,
-		calBlob:  calBlob,
-		profiles: profiles,
-		workers:  workers,
-		total:    fuel,
-		start:    start,
-		results:  make([]*PointResult, n),
+		opt:       opt,
+		grid:      g,
+		kernel:    k,
+		cal:       cal,
+		calBlob:   calBlob,
+		profiles:  profiles,
+		startHits: startHits,
+		workers:   workers,
+		total:     fuel,
+		start:     start,
+		results:   make([]*PointResult, n),
 	}
 	if opt.Metrics != nil {
 		e.gauges = newGauges(opt.Metrics, fuel)
@@ -276,13 +277,16 @@ type engine struct {
 	cal      power.Calibration
 	calBlob  []byte
 	profiles *profile.Cache
-	workers  int
-	total    int
-	start    time.Time
+	// startHits is the profile cache's hit count when the run began;
+	// the memo_hits gauge reports hits since then.
+	startHits uint64
+	workers   int
+	total     int
+	start     time.Time
 
 	results []*PointResult
 
-	mu    sync.Mutex // guards stats, done and progress emission
+	mu    sync.Mutex // guards stats, done, the gauges and progress emission
 	stats Stats
 	done  int
 
@@ -309,32 +313,68 @@ func newGauges(r *metrics.Registry, total int) *gauges {
 	return g
 }
 
-// evaluate visits a batch of points on the worker pool. Results land
-// in the index-addressed slice, so completion order — the only thing
-// the worker count changes — is invisible to the strategy and the
-// frontier.
-func (e *engine) evaluate(todo []int) error {
+// groups splits points by synthesis identity: points that differ only
+// in cache geometry (the innermost grid axis) share Index / len(Caches).
+// Groups keep the order of their first member, and members keep their
+// order in ps.
+func (e *engine) groups(ps []Point) [][]Point {
+	var out [][]Point
+	at := map[int]int{}
+	for _, p := range ps {
+		id := p.Index / len(e.grid.Caches)
+		k, ok := at[id]
+		if !ok {
+			k = len(out)
+			at[id] = k
+			out = append(out, nil)
+		}
+		out[k] = append(out[k], p)
+	}
+	return out
+}
+
+// fanOut runs job on every group on the bounded worker pool and
+// returns the first error.
+func (e *engine) fanOut(groups [][]Point, job func(g []Point) error) error {
 	sem := make(chan struct{}, e.workers)
 	var wg sync.WaitGroup
 	var errOnce sync.Once
 	var firstErr error
-	for _, i := range todo {
+	for _, g := range groups {
 		wg.Add(1)
-		go func(i int) {
+		go func(g []Point) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			pr, evaluated, err := e.visit(i)
-			if err != nil {
+			if err := job(g); err != nil {
 				errOnce.Do(func() { firstErr = err })
-				return
 			}
-			e.results[i] = pr
-			e.record(pr, evaluated)
-		}(i)
+		}(g)
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// evaluate visits a batch of points on the worker pool, one job per
+// synthesis identity. Results land in the index-addressed slice, so
+// completion order — the only thing the worker count changes — is
+// invisible to the strategy and the frontier.
+func (e *engine) evaluate(todo []int) error {
+	ps := make([]Point, len(todo))
+	for k, i := range todo {
+		ps[k] = e.grid.Point(i)
+	}
+	return e.fanOut(e.groups(ps), func(g []Point) error {
+		prs, evaluated, err := e.visit(g, !e.opt.Exact)
+		if err != nil {
+			return err
+		}
+		for k, p := range g {
+			e.results[p.Index] = prs[k]
+			e.record(prs[k], evaluated[k])
+		}
+		return nil
+	})
 }
 
 // record folds one finished point into the stats and live telemetry.
@@ -356,7 +396,7 @@ func (e *engine) record(pr *PointResult, evaluated bool) {
 		e.gauges.archiveSkips.Set(float64(e.stats.ArchiveSkips))
 		e.gauges.infeasible.Set(float64(e.stats.Infeasible))
 		hits, _ := e.profiles.Stats()
-		e.gauges.memoHits.Set(float64(hits))
+		e.gauges.memoHits.Set(float64(hits - e.startHits))
 	}
 	if e.opt.Progress != nil {
 		e.opt.Progress(experiments.ProgressEvent{
@@ -383,23 +423,39 @@ func (e *engine) identity(p Point, popts synth.Options, sampled bool) archive.Sw
 	}
 }
 
-// visit resolves one grid point: archive probe first, simulation only
-// on a miss. The bool reports whether simulation ran.
-func (e *engine) visit(i int) (*PointResult, bool, error) {
-	p := e.grid.Point(i)
-	popts := p.Options(e.opt.Synth)
-	sampled := !e.opt.Exact
-	sp := e.identity(p, popts, sampled)
-	id := archive.SweepRunID(&sp, e.calBlob)
-
-	if pr := e.probe(p, id); pr != nil {
-		return pr, false, nil
+// visit resolves the points of one synthesis identity at one fidelity:
+// every point is probed in the store first, and the missed ones share
+// one preparation and one RunConfigs call. evaluated[k] reports whether
+// ps[k] was simulated.
+func (e *engine) visit(ps []Point, sampled bool) (prs []*PointResult, evaluated []bool, err error) {
+	popts := ps[0].Options(e.opt.Synth)
+	prs = make([]*PointResult, len(ps))
+	evaluated = make([]bool, len(ps))
+	var miss []int
+	sps := make([]archive.SweepPoint, len(ps))
+	for k, p := range ps {
+		sps[k] = e.identity(p, popts, sampled)
+		id := archive.SweepRunID(&sps[k], e.calBlob)
+		if prs[k] = e.probe(p, id); prs[k] == nil {
+			prs[k] = &PointResult{Point: p, Label: sps[k].Label, RunID: id, Sampled: sampled}
+			evaluated[k] = true
+			miss = append(miss, k)
+		}
 	}
-	pr, err := e.simulate(p, popts, sp, id, sampled)
-	if err != nil {
-		return nil, false, err
+	if len(miss) == 0 {
+		return prs, evaluated, nil
 	}
-	return pr, true, nil
+	if err := e.simulate(prs, miss, popts, sampled); err != nil {
+		return nil, nil, err
+	}
+	if e.opt.Store != nil {
+		for _, k := range miss {
+			if err := e.save(&sps[k], prs[k]); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return prs, evaluated, nil
 }
 
 // probe checks the store for a finished point record.
@@ -414,9 +470,10 @@ func (e *engine) probe(p Point, id string) *PointResult {
 	return fromRecord(p, rec.Sweep, id)
 }
 
-// simulate prepares and times one point, archiving the outcome.
-func (e *engine) simulate(p Point, popts synth.Options, sp archive.SweepPoint, id string, sampled bool) (*PointResult, error) {
-	pr := &PointResult{Point: p, Label: sp.Label, RunID: id, Sampled: sampled}
+// simulate prepares the synthesis shared by prs[miss] once and times
+// all of their cache geometries through one RunConfigs call, filling in
+// each point's metrics.
+func (e *engine) simulate(prs []*PointResult, miss []int, popts synth.Options, sampled bool) error {
 	s, err := sim.PrepareWith(e.kernel, e.grid.Scale, sim.PrepareOptions{
 		Synth:    popts,
 		Profiles: e.profiles,
@@ -425,19 +482,26 @@ func (e *engine) simulate(p Point, popts synth.Options, sp archive.SweepPoint, i
 		// A synthesis failure is a fact about the design point (e.g. a
 		// forced opcode width the kernel cannot encode), not a fault:
 		// record it so re-sweeps skip it like any other visited point.
-		pr.Infeasible = err.Error()
-	} else {
-		cfg := sim.Config{Name: sp.Label, ISA: sim.ISAFITS, Cache: p.Cache}
-		var r *sim.Result
-		if e.opt.Exact {
-			r, err = s.Run(cfg, e.cal)
-		} else {
-			r, err = s.RunSampled(cfg, e.cal, e.opt.Sample)
+		for _, k := range miss {
+			prs[k].Infeasible = err.Error()
 		}
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %s: %w", sp.Label, err)
-		}
-		pr.Metrics = PointMetrics{
+		return nil
+	}
+	cfgs := make([]sim.Config, len(miss))
+	for j, k := range miss {
+		cfgs[j] = sim.Config{Name: prs[k].Label, ISA: sim.ISAFITS, Cache: prs[k].Point.Cache}
+	}
+	var ro sim.RunOptions
+	if sampled {
+		ro.Sample = &e.opt.Sample
+	}
+	rs, err := s.RunConfigs(cfgs, e.cal, ro)
+	if err != nil {
+		return fmt.Errorf("sweep: %s: %w", prs[miss[0]].Label, err)
+	}
+	for j, k := range miss {
+		r := rs[j]
+		prs[k].Metrics = PointMetrics{
 			K:           s.Synth.K,
 			DictEntries: s.Synth.DictEntries,
 			CodeBytes:   s.Fits.Image.Size(),
@@ -448,76 +512,65 @@ func (e *engine) simulate(p Point, popts synth.Options, sp archive.SweepPoint, i
 			EnergyPJ:    r.Power.TotalPJ(),
 		}
 	}
-	if e.opt.Store != nil {
-		sp.Infeasible = pr.Infeasible
-		sp.K = pr.Metrics.K
-		sp.DictEntries = pr.Metrics.DictEntries
-		sp.CodeBytes = pr.Metrics.CodeBytes
-		sp.Cycles = pr.Metrics.Cycles
-		sp.Instrs = pr.Metrics.Instrs
-		sp.Fetches = pr.Metrics.Fetches
-		sp.Misses = pr.Metrics.Misses
-		sp.EnergyPJ = pr.Metrics.EnergyPJ
-		if _, err := e.opt.Store.Save(archive.FromSweepPoint(&sp, e.calBlob)); err != nil {
-			return nil, fmt.Errorf("sweep: archive %s: %w", sp.Label, err)
-		}
-	}
-	return pr, nil
+	return nil
 }
 
-// refine re-runs the frontier points exactly. Refined results carry
-// their own archive identities (Sampled=false), so a warm re-sweep
-// skips this pass too. Membership stays as the sampled frontier
-// decided — refinement improves the numbers, not the selection — which
-// keeps the document independent of evaluation order.
+// save archives one simulated point under its identity sp.
+func (e *engine) save(sp *archive.SweepPoint, pr *PointResult) error {
+	sp.Infeasible = pr.Infeasible
+	sp.K = pr.Metrics.K
+	sp.DictEntries = pr.Metrics.DictEntries
+	sp.CodeBytes = pr.Metrics.CodeBytes
+	sp.Cycles = pr.Metrics.Cycles
+	sp.Instrs = pr.Metrics.Instrs
+	sp.Fetches = pr.Metrics.Fetches
+	sp.Misses = pr.Metrics.Misses
+	sp.EnergyPJ = pr.Metrics.EnergyPJ
+	if _, err := e.opt.Store.Save(archive.FromSweepPoint(sp, e.calBlob)); err != nil {
+		return fmt.Errorf("sweep: archive %s: %w", sp.Label, err)
+	}
+	return nil
+}
+
+// refine re-runs the frontier points exactly, grouped by synthesis
+// identity like evaluate. Refined results carry their own archive
+// identities (Sampled=false), so a warm re-sweep skips this pass too.
+// Membership stays as the sampled frontier decided — refinement
+// improves the numbers, not the selection — which keeps the document
+// independent of evaluation order.
 func (e *engine) refine(front []*PointResult) ([]*PointResult, error) {
 	if len(front) == 0 {
 		return front, nil
 	}
 	refined := make([]*PointResult, len(front))
-	sem := make(chan struct{}, e.workers)
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	var mu sync.Mutex
+	ps := make([]Point, len(front))
+	pos := map[int]int{} // grid index → frontier position
 	for fi, pr := range front {
-		wg.Add(1)
-		go func(fi int, sampled *PointResult) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			p := sampled.Point
-			popts := p.Options(e.opt.Synth)
-			sp := e.identity(p, popts, false)
-			id := archive.SweepRunID(&sp, e.calBlob)
-			if pr := e.probe(p, id); pr != nil {
-				refined[fi] = pr
-				mu.Lock()
-				e.stats.RefineSkips++
-				mu.Unlock()
-				return
-			}
-			exact := e.opt
-			exact.Exact = true
-			sub := engine{opt: exact, grid: e.grid, kernel: e.kernel, cal: e.cal,
-				calBlob: e.calBlob, profiles: e.profiles}
-			out, err := sub.simulate(p, popts, sp, id, false)
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				return
-			}
-			refined[fi] = out
-			mu.Lock()
-			e.stats.Refined++
-			if e.gauges != nil {
-				e.gauges.refined.Set(float64(e.stats.Refined))
-			}
-			mu.Unlock()
-		}(fi, pr)
+		ps[fi] = pr.Point
+		pos[pr.Point.Index] = fi
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := e.fanOut(e.groups(ps), func(g []Point) error {
+		prs, evaluated, err := e.visit(g, false)
+		if err != nil {
+			return err
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		for k, p := range g {
+			refined[pos[p.Index]] = prs[k]
+			if evaluated[k] {
+				e.stats.Refined++
+			} else {
+				e.stats.RefineSkips++
+			}
+		}
+		if e.gauges != nil {
+			e.gauges.refined.Set(float64(e.stats.Refined))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return refined, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"powerfits/internal/archive"
 	"powerfits/internal/cache"
+	"powerfits/internal/experiments"
 	"powerfits/internal/metrics"
 	"powerfits/internal/profile"
 )
@@ -293,5 +294,110 @@ func TestFrontierDominance(t *testing.T) {
 	}
 	if front[0].Point.Index != 3 {
 		t.Errorf("frontier not sorted by energy: first is %d", front[0].Point.Index)
+	}
+}
+
+// TestSweepOnePreparationPerSynthesis checks the cache-axis grouping: a
+// cold sweep prepares each synthesis identity once, whatever the
+// number of cache geometries, so the profile cache sees one lookup per
+// identity (9 on the default grid), not one per point (27).
+func TestSweepOnePreparationPerSynthesis(t *testing.T) {
+	pc := profile.NewCache()
+	g := DefaultGrid("crc32", 1)
+	res, err := Run(Options{Grid: g, Profiles: pc, NoRefine: true, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Evaluated != g.Size() {
+		t.Fatalf("evaluated %d of %d points", res.Stats.Evaluated, g.Size())
+	}
+	hits, runs := pc.Stats()
+	if want := uint64(g.Size() / len(g.Caches)); hits+runs != want {
+		t.Fatalf("profile cache saw %d lookups (%d runs + %d hits), want one per synthesis identity (%d)",
+			hits+runs, runs, hits, want)
+	}
+}
+
+// TestSweepPartialGroupResume resumes over a store holding only some
+// of each synthesis identity's cache points: only the missing points
+// are evaluated, and the document matches a cold sweep byte for byte.
+func TestSweepPartialGroupResume(t *testing.T) {
+	g := DefaultGrid("crc32", 1)
+	store := archive.NewStore(t.TempDir())
+	seed := g
+	seed.Caches = []cache.Config{g.Caches[0], g.Caches[2]}
+	if _, err := Run(Options{Grid: seed, Store: store, NoRefine: true}); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Run(Options{Grid: g, Store: store, NoRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := g.Size() / len(g.Caches) // one 8K point per identity
+	if resumed.Stats.Evaluated != missing || resumed.Stats.ArchiveSkips != g.Size()-missing {
+		t.Fatalf("resume evaluated %d and skipped %d, want %d/%d",
+			resumed.Stats.Evaluated, resumed.Stats.ArchiveSkips, missing, g.Size()-missing)
+	}
+	cold, err := Run(Options{Grid: g, Store: archive.NewStore(t.TempDir()), NoRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := marshalDoc(t, resumed), marshalDoc(t, cold); !bytes.Equal(a, b) {
+		t.Fatalf("resumed document differs from cold:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestSweepGroupedDeterministicAcrossWorkers repeats the determinism
+// claim on the default grid, where every job times three cache
+// geometries and refinement groups the frontier: the document is
+// byte-identical at 1 and 4 workers.
+func TestSweepGroupedDeterministicAcrossWorkers(t *testing.T) {
+	var docs [][]byte
+	for _, workers := range []int{1, 4} {
+		res, err := Run(Options{
+			Grid:    DefaultGrid("crc32", 1),
+			Workers: workers,
+			Store:   archive.NewStore(t.TempDir()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Refined == 0 {
+			t.Fatal("no frontier point was refined")
+		}
+		docs = append(docs, marshalDoc(t, res))
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Fatalf("documents differ between -j1 and -j4:\n%s\nvs\n%s", docs[0], docs[1])
+	}
+}
+
+// TestSweepMemoHitsGaugeIsPerRun shares one profile cache and one
+// registry between two sweeps: the live memo_hits gauge counts the
+// running sweep's hits only, so during the second sweep it never
+// exceeds that sweep's final count.
+func TestSweepMemoHitsGaugeIsPerRun(t *testing.T) {
+	pc := profile.NewCache()
+	reg := metrics.NewRegistry()
+	gauge := reg.Scope("sweep").Gauge("memo_hits")
+	g := testGrid()
+	if _, err := Run(Options{Grid: g, Profiles: pc, Metrics: reg, NoRefine: true}); err != nil {
+		t.Fatal(err)
+	}
+	var peak float64
+	second, err := Run(Options{Grid: g, Profiles: pc, Metrics: reg, NoRefine: true,
+		Progress: func(experiments.ProgressEvent) { peak = max(peak, gauge.Value()) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := float64(second.Stats.MemoHits)
+	if own == 0 {
+		t.Fatal("second sweep saw no memo hits on a warm profile cache")
+	}
+	if peak > own {
+		t.Errorf("live memo_hits gauge reached %v, above the second sweep's own %v hits", peak, own)
+	}
+	if got := gauge.Value(); got != own {
+		t.Errorf("final memo_hits gauge %v, want %v", got, own)
 	}
 }
