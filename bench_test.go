@@ -23,7 +23,6 @@ import (
 	"powerfits/internal/kernels"
 	"powerfits/internal/power"
 	"powerfits/internal/profile"
-	"powerfits/internal/program"
 	"powerfits/internal/sim"
 	"powerfits/internal/sweep"
 	"powerfits/internal/synth"
@@ -319,54 +318,6 @@ func BenchmarkPipelineTraced(b *testing.B) {
 		ring := tracing.MustNewRing(1 << 16)
 		b.ResetTimer()
 		benchSteadyState(b, s, sim.FITS8, func() tracing.EventSink { return ring })
-	})
-}
-
-// benchMachineRun measures the functional machine end to end over the
-// crc32 kernel with machine construction outside the timer, so ns/op
-// is one full program run and allocs/op must be exactly 0 on both
-// execution paths (Machine.Output is pre-sized; the fault path builds
-// nothing until a fault actually fires).
-func benchMachineRun(b *testing.B, p *program.Program, l cpu.Layout, run func(*cpu.Machine) error) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := cpu.New(p, l)
-		m.MaxInstrs = 2e9
-		m.Output = make([]uint32, 0, 64)
-		b.StartTimer()
-		if err := run(m); err != nil {
-			b.Fatal(err)
-		}
-		instrs += m.InstrCount
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
-// BenchmarkMachineSteadyState is the functional interpreter's
-// instrs/sec benchmark trio: the legacy Step loop, the compiled
-// micro-op table from cpu.Compile (DESIGN.md §10), and the
-// superblock-fused executor (DESIGN.md §11). ci.sh runs it with
-// -benchtime=1x asserting 0 allocs/op on all three paths, and
-// `fitsbench -pipebench` emits the numbers into BENCH_pipeline.json so
-// successive PRs chart the interpreter trajectory next to the
-// pipeline's.
-func BenchmarkMachineSteadyState(b *testing.B) {
-	p := kernels.MustGet("crc32").Build(1)
-	l := cpu.WordLayout(p.TextBase, len(p.Instrs))
-	c := cpu.Compile(p, l)
-	b.Run("Interpreted", func(b *testing.B) {
-		benchMachineRun(b, p, l, (*cpu.Machine).Run)
-	})
-	b.Run("Compiled", func(b *testing.B) {
-		benchMachineRun(b, p, l, func(m *cpu.Machine) error { return m.RunCompiled(c) })
-	})
-	b.Run("Superblock", func(b *testing.B) {
-		benchMachineRun(b, p, l, func(m *cpu.Machine) error { return m.RunSuperblocks(c) })
 	})
 }
 

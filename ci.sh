@@ -69,15 +69,21 @@ if [ "$(echo "$bench" | grep -c "BenchmarkPipelineTraced/.* 0 allocs/op")" -ne 2
 fi
 
 echo "== benchmark smoke: functional machine stays allocation-free =="
-# The functional machine's steady state (legacy Step loop, the compiled
-# micro-op table, and the superblock-fused executor) must perform zero
-# heap allocations on all three execution paths.
-bench=$(go test -run=NONE -bench=BenchmarkMachineSteadyState -benchtime=1x -benchmem .)
+# The functional machine's steady state (the test-only reference
+# interpreter, the per-µop compiled loop, and the superblock-fused
+# executor) must perform zero heap allocations on all three paths.
+bench=$(go test -run=NONE -bench=BenchmarkMachineSteadyState -benchtime=1x -benchmem ./internal/cpu)
 echo "$bench"
 if [ "$(echo "$bench" | grep -c "BenchmarkMachineSteadyState/.* 0 allocs/op")" -ne 3 ]; then
     echo "ci.sh: functional machine steady state allocates" >&2
     exit 1
 fi
+
+echo "== fuzz: compiled and superblock loops against the reference interpreter =="
+# `go test ./...` runs only FuzzCompiledVsStep's seed corpus; a short
+# fuzzing pass drives fresh instruction streams through the shared
+# execute body on both loops, checked against the interpreter.
+go test -run '^$' -fuzz FuzzCompiledVsStep -fuzztime 10s ./internal/cpu
 
 echo "== sampled estimator: accuracy gate on one kernel =="
 # TestSampledAccuracy sweeps all 21 kernels x 4 configs asserting the
@@ -88,9 +94,10 @@ echo "== sampled estimator: accuracy gate on one kernel =="
 go test ./internal/sim -run 'TestSampledAccuracy/jpeg' -count=1
 
 echo "== perf trajectory: pipeline benchmark record =="
-# Measures the BENCH_pipeline.json rows (schema v7: cycles/sec of the
+# Measures the BENCH_pipeline.json rows (schema v8: cycles/sec of the
 # timing loop, the sampled estimator with its measured cycle error, one
-# lockstep sampled run over both FITS geometries, instrs/sec of the functional machine on all three execution paths,
+# lockstep sampled run over both FITS geometries, instrs/sec of the
+# functional machine on the per-µop compiled and superblock paths,
 # the per-kernel Prepare cost, one exact suite with its timing runs,
 # the design-space sweep, and the serving plane's hit/cold req/sec) and
 # prints a per-entry delta table against

@@ -147,8 +147,6 @@ func main() {
 		traceOut    = fs.String("trace", "", "write a runtime/trace execution trace to this path")
 		pipeBench   = fs.String("pipebench", "", "benchmark the predecoded timing loop and write BENCH_pipeline.json-style output to this path, then exit; if the path already holds a record, a per-entry delta table is printed first")
 		pipeKernel  = fs.String("pipebench-kernel", "crc32", "kernel the -pipebench loop runs")
-		sweepKernel = fs.String("sweep", "", "run the design-space exploration engine over this kernel's default grid and print the Pareto frontier, then exit (incremental vs -sweep-dir; -scale/-j/-json apply)")
-		sweepDir    = fs.String("sweep-dir", "", "run store the -sweep probes and fills (default .powerfits/runs)")
 		sample      = fs.Bool("sample", false, "replace full pipeline runs with the sampled timing estimator (exact outputs, ≤2% validated cycle/energy error)")
 	)
 	tf := cli.RegisterFlags(fs)
@@ -170,13 +168,6 @@ func main() {
 
 	if *pipeBench != "" {
 		if err := runPipeBench(*pipeBench, *pipeKernel, *scale); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *sweepKernel != "" {
-		if err := runSweep(*sweepKernel, *scale, *jobs, *sweepDir, *jsonPath, *quiet); err != nil {
 			fatal(err)
 		}
 		return

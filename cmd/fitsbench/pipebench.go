@@ -40,8 +40,10 @@ import (
 // exact scale-N suite through the experiment engine, with its
 // timing_runs_per_op); v7 adds the SampledConfigs/FITS row (one sampled
 // RunConfigs over FITS16 and FITS8, the lockstep counterpart of the
-// per-config SampledPipeline rows).
-const PipeBenchSchema = "powerfits-pipebench/v7"
+// per-config SampledPipeline rows); v8 drops the
+// MachineSteadyState/Interpreted row, whose Step interpreter is now a
+// test-only oracle in internal/cpu.
+const PipeBenchSchema = "powerfits-pipebench/v8"
 
 // pipeBenchSchemaPrefix matches any record revision — the delta table
 // tolerates comparing across schema versions (new rows show as added).
@@ -124,8 +126,8 @@ func pipeBenchLoop(b *testing.B, s *sim.Setup, cfg sim.Config) {
 }
 
 // machineBenchLoop is the functional-machine counterpart of
-// pipeBenchLoop: one full program run per op (interpreted Step loop or
-// compiled micro-op table), machine construction excluded from the
+// pipeBenchLoop: one full program run per op (per-µop compiled loop or
+// superblock executor), machine construction excluded from the
 // timer, instrs/s reported via b.ReportMetric.
 func machineBenchLoop(b *testing.B, p *program.Program, l cpu.Layout, run func(*cpu.Machine) error) {
 	b.ReportAllocs()
@@ -251,10 +253,6 @@ func runPipeBench(path, kernel string, scale int) error {
 
 	l := cpu.WordLayout(s.Prog.TextBase, len(s.Prog.Instrs))
 	comp := cpu.Compile(s.Prog, l)
-	rep.record("MachineSteadyState/Interpreted",
-		testing.Benchmark(func(b *testing.B) {
-			machineBenchLoop(b, s.Prog, l, (*cpu.Machine).Run)
-		}))
 	rep.record("MachineSteadyState/Compiled",
 		testing.Benchmark(func(b *testing.B) {
 			machineBenchLoop(b, s.Prog, l, func(m *cpu.Machine) error { return m.RunCompiled(comp) })

@@ -8,28 +8,31 @@ import (
 	"powerfits/internal/program"
 )
 
-// This file is the semantic predecode pass: the functional-interpreter
-// analogue of decode.go's timing predecode. Compile lowers a program
-// once into a flat micro-op table in which every per-instruction
-// decision Machine.Step used to re-derive per executed instruction —
-// the operand-2 form (immediate / register / shifted, with the shift
-// kind and amount baked in), the flag behaviour (the interpreter's
-// save/restore dance collapses into distinct flag-setting and
-// flag-preserving execute kinds), register indices, memory access
-// width/alignment, the BL return address, and the SWI service — is
-// resolved at compile time. The hot loop then dispatches through one
-// dense switch on a small uint8 instead of re-decoding isa.Instr
-// fields, and the steady state performs zero heap allocations.
+// This file is the semantic predecode pass and the one execute body.
+// Compile lowers a program once into a flat micro-op table in which
+// every per-instruction decision is resolved at compile time: the
+// operand-2 form (immediate / register / shifted, with the shift kind
+// and amount baked in), the flag behaviour (flag-setting and
+// flag-preserving forms are distinct execute kinds), register indices,
+// memory access width/alignment, the BL return address, and the SWI
+// service. The hot loops then dispatch through one dense switch on a
+// small uint8 instead of re-decoding isa.Instr fields, and the steady
+// state performs zero heap allocations.
 //
-// Architecture is bit-identical to Machine.Step by construction: every
-// execute kind reuses the same flag helpers (addFlags/subFlags/setNZ),
-// the same checkAddr fault strings, and the same Layout callbacks, and
-// the correspondence is pinned per instruction by FuzzCompiledVsStep,
-// the whole-kernel lockstep test in internal/sim, and the unchanged
-// golden tables.
+// The semantics of every fusible kind live in exec, the single execute
+// body, and two loops drive it: stepCompiled, one instruction at a time
+// with the full per-instruction bookkeeping (used by RunCompiled, the
+// superblock fallback and the pipeline's execute stage), and
+// runSuperblocks (superblock.go), a whole fused block per call.
+// stepCompiled keeps only the non-fusible kinds — branches, halt and
+// the always-faulting SWI — as its own arms. The reference interpreter
+// Machine.Step, which decodes isa.Instr on every execution, exists only
+// in this package's tests (oracle_test.go); FuzzCompiledVsStep, the
+// per-instruction and whole-kernel lockstep tests and the unchanged
+// golden tables hold both loops to it.
 
-// Execute kinds. One per specialized form of Machine.Step's big switch:
-// the (operation × flag-behaviour × operand-2 form) product is
+// Execute kinds. One per specialized form of an IR instruction: the
+// (operation × flag-behaviour × operand-2 form) product is
 // flattened so the hot loop consults neither Instr.SetFlags nor the
 // operand shape — the form dispatch folds into the single jump table.
 // Per data-processing op the three variants are consecutive (I =
@@ -38,10 +41,9 @@ import (
 // The enum must stay dense — the dispatch switch compiles to a jump
 // table.
 const (
-	kBad uint8 = iota // unimplemented op: faults like Step's default arm
+	kBad uint8 = iota // unimplemented op: always faults
 
-	// Arithmetic, flag-preserving (Step computed flags and restored
-	// them; here the flags are simply never touched).
+	// Arithmetic, flag-preserving (the flags are never touched).
 	kAddI
 	kAddR
 	kAddX
@@ -99,8 +101,7 @@ const (
 	kMvnR
 	kMvnX
 	// Logical / move, flag-setting. The I and R forms leave C untouched:
-	// their shifter carry-out is defined as the current C flag, so the
-	// interpreter's C = shC there is the identity.
+	// their shifter carry-out is defined as the current C flag.
 	kAndSI
 	kAndSR
 	kAndSX
@@ -157,7 +158,7 @@ const (
 
 	kSwiHalt // SWI #0
 	kSwiEmit // SWI #1
-	kSwiBad  // any other service: faults like Step
+	kSwiBad  // any other service: always faults
 
 	kNop
 )
@@ -218,7 +219,7 @@ type Compiled struct {
 
 // Compile lowers p (laid out by l) into its micro-op table. The layout
 // matters semantically: BL bakes the layout's return address and BX
-// resolves targets through it, exactly as Step does.
+// resolves targets through it, exactly as the reference interpreter does.
 func Compile(p *program.Program, l Layout) *Compiled {
 	c := &Compiled{prog: p, layout: l, uops: make([]uop, len(p.Instrs))}
 	for i := range p.Instrs {
@@ -441,7 +442,7 @@ func shiftVal(v uint32, kind uint8, amt uint32) uint32 {
 }
 
 // shiftCarry is the barrel shifter for a non-zero amount with the
-// carry-out, replicating Machine.operand2 exactly.
+// carry-out, replicating the reference interpreter's operand2 exactly.
 func shiftCarry(v uint32, kind uint8, amt uint32) (uint32, bool) {
 	switch isa.Shift(kind) {
 	case isa.LSL:
@@ -492,7 +493,7 @@ func (m *Machine) op2shifted(u *uop) uint32 {
 
 // op2shiftedCarry evaluates a shifted operand 2 and the shifter
 // carry-out (flag-setting logical X kinds); the carry-out defaults to
-// the current C flag exactly as in Machine.operand2.
+// the current C flag exactly as in the reference interpreter.
 func (m *Machine) op2shiftedCarry(u *uop) (uint32, bool) {
 	if u.A == o2ShImm {
 		return shiftCarry(m.Regs[u.Rm&15], u.B, u.Imm)
@@ -520,20 +521,11 @@ func (m *Machine) effAddrC(u *uop) (uint32, bool) {
 	return base, false
 }
 
-// StepCompiled executes the instruction at PCIdx through the compiled
-// table and advances, with semantics bit-identical to Step. The table
-// must have been built from the machine's exact program and layout.
-func (m *Machine) StepCompiled(c *Compiled) (StepResult, error) {
-	if err := c.check(m); err != nil {
-		return StepResult{}, err
-	}
-	return m.stepCompiled(c)
-}
-
 // RunCompiled executes until the program halts or the budget is
-// exhausted, dispatching through the compiled table. With Output
-// pre-sized the steady state performs zero heap allocations (pinned by
-// TestStepZeroAlloc).
+// exhausted, one micro-op per stepCompiled call. It is the per-µop
+// reference the fused executor is held to; production runs use
+// RunSuperblocks. With Output pre-sized the steady state performs zero
+// heap allocations (pinned by TestStepZeroAlloc).
 func (m *Machine) RunCompiled(c *Compiled) error {
 	if err := c.check(m); err != nil {
 		return err
@@ -546,9 +538,12 @@ func (m *Machine) RunCompiled(c *Compiled) error {
 	return nil
 }
 
-// stepCompiled is the table-checked-elsewhere hot path: callers
-// (RunCompiled, the pipeline execute stage) have already verified the
-// table matches the machine's program.
+// stepCompiled executes the micro-op at PCIdx and advances. Callers
+// (RunCompiled, runSuperblocks' fallback, the pipeline execute stage)
+// have already verified the table matches the machine's program. It
+// owns the per-instruction bookkeeping — halt, budget, PC range,
+// condition, InstrCount and DynCount — and the non-fusible kinds;
+// every fusible kind runs through exec.
 func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 	if m.Halted {
 		return StepResult{}, fmt.Errorf("cpu: step after halt")
@@ -574,317 +569,6 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 	}
 
 	switch u.Kind {
-	case kAddI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + u.Imm
-	case kAddR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.Regs[u.Rm&15]
-	case kAddX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.op2shifted(u)
-	case kAdcI, kAdcR, kAdcX:
-		carry := uint32(0)
-		if m.C {
-			carry = 1
-		}
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.op2plain(u) + carry
-	case kSubI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - u.Imm
-	case kSubR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - m.Regs[u.Rm&15]
-	case kSubX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - m.op2shifted(u)
-	case kSbcI, kSbcR, kSbcX:
-		carry := uint32(0)
-		if m.C {
-			carry = 1
-		}
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + ^m.op2plain(u) + carry
-	case kRsbI, kRsbR, kRsbX:
-		m.Regs[u.Rd&15] = m.op2plain(u) - m.Regs[u.Rn&15]
-
-	case kAddSI:
-		m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], u.Imm, 0)
-	case kAddSR:
-		m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 0)
-	case kAddSX:
-		m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.op2shifted(u), 0)
-	case kAdcSI, kAdcSR, kAdcSX:
-		carry := uint32(0)
-		if m.C {
-			carry = 1
-		}
-		m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.op2plain(u), carry)
-	case kSubSI:
-		m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], u.Imm, 1)
-	case kSubSR:
-		m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 1)
-	case kSubSX:
-		m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.op2shifted(u), 1)
-	case kSbcSI, kSbcSR, kSbcSX:
-		carry := uint32(0)
-		if m.C {
-			carry = 1
-		}
-		m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.op2plain(u), carry)
-	case kRsbSI, kRsbSR, kRsbSX:
-		m.Regs[u.Rd&15] = m.subFlags(m.op2plain(u), m.Regs[u.Rn&15], 1)
-	case kCmpI:
-		m.subFlags(m.Regs[u.Rn&15], u.Imm, 1)
-	case kCmpR:
-		m.subFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 1)
-	case kCmpX:
-		m.subFlags(m.Regs[u.Rn&15], m.op2shifted(u), 1)
-	case kCmnI, kCmnR, kCmnX:
-		m.addFlags(m.Regs[u.Rn&15], m.op2plain(u), 0)
-
-	case kAndI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & u.Imm
-	case kAndR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & m.Regs[u.Rm&15]
-	case kAndX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & m.op2shifted(u)
-	case kOrrI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | u.Imm
-	case kOrrR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | m.Regs[u.Rm&15]
-	case kOrrX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | m.op2shifted(u)
-	case kEorI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ u.Imm
-	case kEorR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ m.Regs[u.Rm&15]
-	case kEorX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ m.op2shifted(u)
-	case kBicI, kBicR, kBicX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] &^ m.op2plain(u)
-	case kMovI:
-		m.Regs[u.Rd&15] = u.Imm
-	case kMovR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rm&15]
-	case kMovX:
-		m.Regs[u.Rd&15] = m.op2shifted(u)
-	case kMvnI, kMvnR, kMvnX:
-		m.Regs[u.Rd&15] = ^m.op2plain(u)
-
-	// Flag-setting logical I/R forms: the shifter carry-out is the
-	// current C, so C stays untouched (Step's C = shC is the identity).
-	case kAndSI:
-		r := m.Regs[u.Rn&15] & u.Imm
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kAndSR:
-		r := m.Regs[u.Rn&15] & m.Regs[u.Rm&15]
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kAndSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := m.Regs[u.Rn&15] & op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kOrrSI, kOrrSR:
-		r := m.Regs[u.Rn&15] | m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kOrrSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := m.Regs[u.Rn&15] | op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kEorSI, kEorSR:
-		r := m.Regs[u.Rn&15] ^ m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kEorSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := m.Regs[u.Rn&15] ^ op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kBicSI, kBicSR:
-		r := m.Regs[u.Rn&15] &^ m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kBicSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := m.Regs[u.Rn&15] &^ op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kMovSI, kMovSR:
-		r := m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kMovSX:
-		op2, shC := m.op2shiftedCarry(u)
-		m.setNZ(op2)
-		m.C = shC
-		m.Regs[u.Rd&15] = op2
-	case kMvnSI, kMvnSR:
-		r := ^m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kMvnSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := ^op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kTstI:
-		m.setNZ(m.Regs[u.Rn&15] & u.Imm)
-	case kTstR:
-		m.setNZ(m.Regs[u.Rn&15] & m.Regs[u.Rm&15])
-	case kTstX:
-		op2, shC := m.op2shiftedCarry(u)
-		m.setNZ(m.Regs[u.Rn&15] & op2)
-		m.C = shC
-	case kTeqI, kTeqR:
-		m.setNZ(m.Regs[u.Rn&15] ^ m.op2plain(u))
-	case kTeqX:
-		op2, shC := m.op2shiftedCarry(u)
-		m.setNZ(m.Regs[u.Rn&15] ^ op2)
-		m.C = shC
-
-	case kMul:
-		m.Regs[u.Rd&15] = m.Regs[u.Rm&15] * m.Regs[u.Rs&15]
-	case kMulS:
-		r := m.Regs[u.Rm&15] * m.Regs[u.Rs&15]
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kMla:
-		m.Regs[u.Rd&15] = m.Regs[u.Rm&15]*m.Regs[u.Rs&15] + m.Regs[u.Rn&15]
-	case kMlaS:
-		r := m.Regs[u.Rm&15]*m.Regs[u.Rs&15] + m.Regs[u.Rn&15]
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-
-	case kQadd:
-		m.Regs[u.Rd&15] = satAdd(m.Regs[u.Rn&15], m.Regs[u.Rm&15])
-	case kQsub:
-		m.Regs[u.Rd&15] = satAdd(m.Regs[u.Rn&15], uint32(-int32(m.Regs[u.Rm&15])))
-	case kClz:
-		m.Regs[u.Rd&15] = clz32(m.Regs[u.Rm&15])
-	case kRev:
-		v := m.Regs[u.Rm&15]
-		m.Regs[u.Rd&15] = v<<24 | v>>24 | v<<8&0xff0000 | v>>8&0xff00
-	case kMin:
-		a, b := int32(m.Regs[u.Rn&15]), int32(m.Regs[u.Rm&15])
-		if b < a {
-			a = b
-		}
-		m.Regs[u.Rd&15] = uint32(a)
-	case kMax:
-		a, b := int32(m.Regs[u.Rn&15]), int32(m.Regs[u.Rm&15])
-		if b > a {
-			a = b
-		}
-		m.Regs[u.Rd&15] = uint32(a)
-
-	case kLdr:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 4); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = binary.LittleEndian.Uint32(m.Mem[ea:])
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kLdrb:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 1); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = uint32(m.Mem[ea])
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kLdrh:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 2); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = uint32(binary.LittleEndian.Uint16(m.Mem[ea:]))
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kLdrsb:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 1); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = uint32(int32(int8(m.Mem[ea])))
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kLdrsh:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 2); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(m.Mem[ea:]))))
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kStr:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 4); d != "" {
-			return res, c.fault(idx, d)
-		}
-		binary.LittleEndian.PutUint32(m.Mem[ea:], m.Regs[u.Rd&15])
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kStrb:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 1); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Mem[ea] = byte(m.Regs[u.Rd&15])
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kStrh:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 2); d != "" {
-			return res, c.fault(idx, d)
-		}
-		binary.LittleEndian.PutUint16(m.Mem[ea:], uint16(m.Regs[u.Rd&15]))
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-
-	case kLdc:
-		m.Regs[u.Rd&15] = u.Imm
-
-	case kPush:
-		sp := m.Regs[isa.SP] - u.Imm
-		if d := m.checkAddr(sp, int(u.Imm)); d != "" {
-			return res, c.fault(idx, d)
-		}
-		a := sp
-		list := uint16(u.Aux)
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if list&(1<<r) != 0 {
-				binary.LittleEndian.PutUint32(m.Mem[a:], m.Regs[r])
-				a += 4
-			}
-		}
-		m.Regs[isa.SP] = sp
-	case kPop:
-		sp := m.Regs[isa.SP]
-		if d := m.checkAddr(sp, int(u.Imm)); d != "" {
-			return res, c.fault(idx, d)
-		}
-		a := sp
-		list := uint16(u.Aux)
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if list&(1<<r) != 0 {
-				m.Regs[r] = binary.LittleEndian.Uint32(m.Mem[a:])
-				a += 4
-			}
-		}
-		m.Regs[isa.SP] = sp + u.Imm
-
 	case kB:
 		res.Taken = true
 		res.NextIdx = int(u.Aux)
@@ -899,23 +583,380 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		}
 		res.Taken = true
 		res.NextIdx = t
-
 	case kSwiHalt:
 		m.Halted = true
 		res.NextIdx = idx
-	case kSwiEmit:
-		m.Output = append(m.Output, m.Regs[isa.R0])
 	case kSwiBad:
 		return res, c.fault(idx, fmt.Sprintf("unknown SWI %d", u.Aux))
-
-	case kNop:
-		// nothing
 	default:
-		return res, c.fault(idx, "unimplemented op")
+		if m.exec(c.uops[idx:idx+1]) == 0 {
+			return res, c.fault(idx, m.execFault(u))
+		}
 	}
 
 	m.PCIdx = res.NextIdx
 	return res, nil
+}
+
+// exec is the one execute body for every fusible micro-op kind: it runs
+// us back to back and returns how many completed. Both loops drive it —
+// runSuperblocks hands it a whole fused block, stepCompiled a single
+// micro-op — so the instruction semantics are written once. Every
+// access is checked before anything is written, so a micro-op that
+// would fault leaves the machine untouched: exec then returns its
+// index, and execFault renders the detail from the unchanged state.
+// The loop lives inside exec so a fused block pays one call, not one
+// per micro-op.
+func (m *Machine) exec(us []uop) int {
+	for j := range us {
+		u := &us[j]
+		switch u.Kind {
+		case kAddI:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + u.Imm
+		case kAddR:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.Regs[u.Rm&15]
+		case kAddX:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.op2shifted(u)
+		case kAdcI, kAdcR, kAdcX:
+			carry := uint32(0)
+			if m.C {
+				carry = 1
+			}
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.op2plain(u) + carry
+		case kSubI:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - u.Imm
+		case kSubR:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - m.Regs[u.Rm&15]
+		case kSubX:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - m.op2shifted(u)
+		case kSbcI, kSbcR, kSbcX:
+			carry := uint32(0)
+			if m.C {
+				carry = 1
+			}
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + ^m.op2plain(u) + carry
+		case kRsbI, kRsbR, kRsbX:
+			m.Regs[u.Rd&15] = m.op2plain(u) - m.Regs[u.Rn&15]
+
+		case kAddSI:
+			m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], u.Imm, 0)
+		case kAddSR:
+			m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 0)
+		case kAddSX:
+			m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.op2shifted(u), 0)
+		case kAdcSI, kAdcSR, kAdcSX:
+			carry := uint32(0)
+			if m.C {
+				carry = 1
+			}
+			m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.op2plain(u), carry)
+		case kSubSI:
+			m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], u.Imm, 1)
+		case kSubSR:
+			m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 1)
+		case kSubSX:
+			m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.op2shifted(u), 1)
+		case kSbcSI, kSbcSR, kSbcSX:
+			carry := uint32(0)
+			if m.C {
+				carry = 1
+			}
+			m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.op2plain(u), carry)
+		case kRsbSI, kRsbSR, kRsbSX:
+			m.Regs[u.Rd&15] = m.subFlags(m.op2plain(u), m.Regs[u.Rn&15], 1)
+		case kCmpI:
+			m.subFlags(m.Regs[u.Rn&15], u.Imm, 1)
+		case kCmpR:
+			m.subFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 1)
+		case kCmpX:
+			m.subFlags(m.Regs[u.Rn&15], m.op2shifted(u), 1)
+		case kCmnI, kCmnR, kCmnX:
+			m.addFlags(m.Regs[u.Rn&15], m.op2plain(u), 0)
+
+		case kAndI:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & u.Imm
+		case kAndR:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & m.Regs[u.Rm&15]
+		case kAndX:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & m.op2shifted(u)
+		case kOrrI:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | u.Imm
+		case kOrrR:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | m.Regs[u.Rm&15]
+		case kOrrX:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | m.op2shifted(u)
+		case kEorI:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ u.Imm
+		case kEorR:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ m.Regs[u.Rm&15]
+		case kEorX:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ m.op2shifted(u)
+		case kBicI, kBicR, kBicX:
+			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] &^ m.op2plain(u)
+		case kMovI:
+			m.Regs[u.Rd&15] = u.Imm
+		case kMovR:
+			m.Regs[u.Rd&15] = m.Regs[u.Rm&15]
+		case kMovX:
+			m.Regs[u.Rd&15] = m.op2shifted(u)
+		case kMvnI, kMvnR, kMvnX:
+			m.Regs[u.Rd&15] = ^m.op2plain(u)
+
+		// Flag-setting logical I/R forms: the shifter carry-out is the
+		// current C, so C stays untouched.
+		case kAndSI:
+			r := m.Regs[u.Rn&15] & u.Imm
+			m.setNZ(r)
+			m.Regs[u.Rd&15] = r
+		case kAndSR:
+			r := m.Regs[u.Rn&15] & m.Regs[u.Rm&15]
+			m.setNZ(r)
+			m.Regs[u.Rd&15] = r
+		case kAndSX:
+			op2, shC := m.op2shiftedCarry(u)
+			r := m.Regs[u.Rn&15] & op2
+			m.setNZ(r)
+			m.C = shC
+			m.Regs[u.Rd&15] = r
+		case kOrrSI, kOrrSR:
+			r := m.Regs[u.Rn&15] | m.op2plain(u)
+			m.setNZ(r)
+			m.Regs[u.Rd&15] = r
+		case kOrrSX:
+			op2, shC := m.op2shiftedCarry(u)
+			r := m.Regs[u.Rn&15] | op2
+			m.setNZ(r)
+			m.C = shC
+			m.Regs[u.Rd&15] = r
+		case kEorSI, kEorSR:
+			r := m.Regs[u.Rn&15] ^ m.op2plain(u)
+			m.setNZ(r)
+			m.Regs[u.Rd&15] = r
+		case kEorSX:
+			op2, shC := m.op2shiftedCarry(u)
+			r := m.Regs[u.Rn&15] ^ op2
+			m.setNZ(r)
+			m.C = shC
+			m.Regs[u.Rd&15] = r
+		case kBicSI, kBicSR:
+			r := m.Regs[u.Rn&15] &^ m.op2plain(u)
+			m.setNZ(r)
+			m.Regs[u.Rd&15] = r
+		case kBicSX:
+			op2, shC := m.op2shiftedCarry(u)
+			r := m.Regs[u.Rn&15] &^ op2
+			m.setNZ(r)
+			m.C = shC
+			m.Regs[u.Rd&15] = r
+		case kMovSI, kMovSR:
+			r := m.op2plain(u)
+			m.setNZ(r)
+			m.Regs[u.Rd&15] = r
+		case kMovSX:
+			op2, shC := m.op2shiftedCarry(u)
+			m.setNZ(op2)
+			m.C = shC
+			m.Regs[u.Rd&15] = op2
+		case kMvnSI, kMvnSR:
+			r := ^m.op2plain(u)
+			m.setNZ(r)
+			m.Regs[u.Rd&15] = r
+		case kMvnSX:
+			op2, shC := m.op2shiftedCarry(u)
+			r := ^op2
+			m.setNZ(r)
+			m.C = shC
+			m.Regs[u.Rd&15] = r
+		case kTstI:
+			m.setNZ(m.Regs[u.Rn&15] & u.Imm)
+		case kTstR:
+			m.setNZ(m.Regs[u.Rn&15] & m.Regs[u.Rm&15])
+		case kTstX:
+			op2, shC := m.op2shiftedCarry(u)
+			m.setNZ(m.Regs[u.Rn&15] & op2)
+			m.C = shC
+		case kTeqI, kTeqR:
+			m.setNZ(m.Regs[u.Rn&15] ^ m.op2plain(u))
+		case kTeqX:
+			op2, shC := m.op2shiftedCarry(u)
+			m.setNZ(m.Regs[u.Rn&15] ^ op2)
+			m.C = shC
+
+		case kMul:
+			m.Regs[u.Rd&15] = m.Regs[u.Rm&15] * m.Regs[u.Rs&15]
+		case kMulS:
+			r := m.Regs[u.Rm&15] * m.Regs[u.Rs&15]
+			m.setNZ(r)
+			m.Regs[u.Rd&15] = r
+		case kMla:
+			m.Regs[u.Rd&15] = m.Regs[u.Rm&15]*m.Regs[u.Rs&15] + m.Regs[u.Rn&15]
+		case kMlaS:
+			r := m.Regs[u.Rm&15]*m.Regs[u.Rs&15] + m.Regs[u.Rn&15]
+			m.setNZ(r)
+			m.Regs[u.Rd&15] = r
+
+		case kQadd:
+			m.Regs[u.Rd&15] = satAdd(m.Regs[u.Rn&15], m.Regs[u.Rm&15])
+		case kQsub:
+			m.Regs[u.Rd&15] = satAdd(m.Regs[u.Rn&15], uint32(-int32(m.Regs[u.Rm&15])))
+		case kClz:
+			m.Regs[u.Rd&15] = clz32(m.Regs[u.Rm&15])
+		case kRev:
+			v := m.Regs[u.Rm&15]
+			m.Regs[u.Rd&15] = v<<24 | v>>24 | v<<8&0xff0000 | v>>8&0xff00
+		case kMin:
+			a, b := int32(m.Regs[u.Rn&15]), int32(m.Regs[u.Rm&15])
+			if b < a {
+				a = b
+			}
+			m.Regs[u.Rd&15] = uint32(a)
+		case kMax:
+			a, b := int32(m.Regs[u.Rn&15]), int32(m.Regs[u.Rm&15])
+			if b > a {
+				a = b
+			}
+			m.Regs[u.Rd&15] = uint32(a)
+
+		case kLdr:
+			ea, wb := m.effAddrC(u)
+			if uint64(ea)+4 > uint64(len(m.Mem)) || ea&3 != 0 {
+				return j
+			}
+			m.Regs[u.Rd&15] = binary.LittleEndian.Uint32(m.Mem[ea:])
+			if wb {
+				m.Regs[u.Rn&15] += u.Imm
+			}
+		case kLdrb:
+			ea, wb := m.effAddrC(u)
+			if uint64(ea) >= uint64(len(m.Mem)) {
+				return j
+			}
+			m.Regs[u.Rd&15] = uint32(m.Mem[ea])
+			if wb {
+				m.Regs[u.Rn&15] += u.Imm
+			}
+		case kLdrh:
+			ea, wb := m.effAddrC(u)
+			if uint64(ea)+2 > uint64(len(m.Mem)) || ea&1 != 0 {
+				return j
+			}
+			m.Regs[u.Rd&15] = uint32(binary.LittleEndian.Uint16(m.Mem[ea:]))
+			if wb {
+				m.Regs[u.Rn&15] += u.Imm
+			}
+		case kLdrsb:
+			ea, wb := m.effAddrC(u)
+			if uint64(ea) >= uint64(len(m.Mem)) {
+				return j
+			}
+			m.Regs[u.Rd&15] = uint32(int32(int8(m.Mem[ea])))
+			if wb {
+				m.Regs[u.Rn&15] += u.Imm
+			}
+		case kLdrsh:
+			ea, wb := m.effAddrC(u)
+			if uint64(ea)+2 > uint64(len(m.Mem)) || ea&1 != 0 {
+				return j
+			}
+			m.Regs[u.Rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(m.Mem[ea:]))))
+			if wb {
+				m.Regs[u.Rn&15] += u.Imm
+			}
+		case kStr:
+			ea, wb := m.effAddrC(u)
+			if uint64(ea)+4 > uint64(len(m.Mem)) || ea&3 != 0 {
+				return j
+			}
+			binary.LittleEndian.PutUint32(m.Mem[ea:], m.Regs[u.Rd&15])
+			if wb {
+				m.Regs[u.Rn&15] += u.Imm
+			}
+		case kStrb:
+			ea, wb := m.effAddrC(u)
+			if uint64(ea) >= uint64(len(m.Mem)) {
+				return j
+			}
+			m.Mem[ea] = byte(m.Regs[u.Rd&15])
+			if wb {
+				m.Regs[u.Rn&15] += u.Imm
+			}
+		case kStrh:
+			ea, wb := m.effAddrC(u)
+			if uint64(ea)+2 > uint64(len(m.Mem)) || ea&1 != 0 {
+				return j
+			}
+			binary.LittleEndian.PutUint16(m.Mem[ea:], uint16(m.Regs[u.Rd&15]))
+			if wb {
+				m.Regs[u.Rn&15] += u.Imm
+			}
+
+		case kLdc:
+			m.Regs[u.Rd&15] = u.Imm
+
+		case kPush:
+			sp := m.Regs[isa.SP] - u.Imm
+			if m.checkAddr(sp, int(u.Imm)) != "" {
+				return j
+			}
+			a := sp
+			list := uint16(u.Aux)
+			for r := isa.Reg(0); r < isa.NumRegs; r++ {
+				if list&(1<<r) != 0 {
+					binary.LittleEndian.PutUint32(m.Mem[a:], m.Regs[r])
+					a += 4
+				}
+			}
+			m.Regs[isa.SP] = sp
+		case kPop:
+			sp := m.Regs[isa.SP]
+			if m.checkAddr(sp, int(u.Imm)) != "" {
+				return j
+			}
+			a := sp
+			list := uint16(u.Aux)
+			for r := isa.Reg(0); r < isa.NumRegs; r++ {
+				if list&(1<<r) != 0 {
+					m.Regs[r] = binary.LittleEndian.Uint32(m.Mem[a:])
+					a += 4
+				}
+			}
+			m.Regs[isa.SP] = sp + u.Imm
+
+		case kSwiEmit:
+			m.Output = append(m.Output, m.Regs[isa.R0])
+
+		case kNop:
+			// nothing
+		default:
+			// Not fusible: control flow, halting and always-faulting kinds
+			// are stepCompiled's own arms and never reach exec, except kBad,
+			// whose fault execFault renders.
+			return j
+		}
+	}
+	return len(us)
+}
+
+// execFault renders the fault exec refused at u. exec wrote nothing for
+// u, so the registers still hold the operands it checked; only the
+// fault path reaches here, and the detail strings are checkAddr's.
+func (m *Machine) execFault(u *uop) string {
+	switch u.Kind {
+	case kLdr, kStr:
+		ea, _ := m.effAddrC(u)
+		return m.checkAddr(ea, 4)
+	case kLdrh, kLdrsh, kStrh:
+		ea, _ := m.effAddrC(u)
+		return m.checkAddr(ea, 2)
+	case kLdrb, kLdrsb, kStrb:
+		ea, _ := m.effAddrC(u)
+		return m.checkAddr(ea, 1)
+	case kPush:
+		return m.checkAddr(m.Regs[isa.SP]-u.Imm, int(u.Imm))
+	case kPop:
+		return m.checkAddr(m.Regs[isa.SP], int(u.Imm))
+	}
+	return "unimplemented op"
 }
 
 // op2plain re-derives the operand-2 value for the rare kinds whose

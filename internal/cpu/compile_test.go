@@ -30,7 +30,7 @@ func lockstepCompare(t *testing.T, p *program.Program, maxInstrs uint64) uint64 
 
 	for step := 0; ; step++ {
 		ri, erri := mi.Step()
-		rc, errc := mc.StepCompiled(c)
+		rc, errc := mc.stepCompiled(c)
 		if (erri == nil) != (errc == nil) {
 			t.Fatalf("step %d: fault divergence: interpreted %v, compiled %v", step, erri, errc)
 		}
@@ -166,9 +166,13 @@ func TestCompiledStepEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompiledFaultIdentity pins fault equivalence: the compiled path
-// must fail on the same instruction with the same rendered error as the
-// interpreter, and leave the same architectural state behind.
+// TestCompiledFaultIdentity pins fault equivalence: the compiled and
+// superblock paths must fail on the same instruction with the same
+// rendered error as the interpreter, and leave the same architectural
+// state and dynamic profile behind. Every faulting memory kind runs
+// with the faulting micro-op first, in the middle and last in a fused
+// block, since exec refuses a faulting access before writing anything
+// and the block settles around it.
 func TestCompiledFaultIdentity(t *testing.T) {
 	build := func(f func(b *asm.Builder)) *program.Program {
 		b := asm.New("fault")
@@ -209,6 +213,78 @@ func TestCompiledFaultIdentity(t *testing.T) {
 			lockstepCompare(t, tc.p, tc.max)
 		})
 	}
+
+	// R2 holds a misaligned buffer address (R1+1 or R1+2) or the first
+	// address past memory; SP sits just above address 0 or at the top.
+	misaligned := func(off int32) func(b *asm.Builder) {
+		return func(b *asm.Builder) { b.AddI(isa.R2, isa.R1, off) }
+	}
+	pastMem := func(b *asm.Builder) { b.MovImm32(isa.R2, program.MemSize) }
+	mem := func(op isa.Op) func(b *asm.Builder) {
+		return func(b *asm.Builder) { b.Mem(op, isa.R0, isa.R2, 0) }
+	}
+	faults := []struct {
+		name         string
+		setup, fault func(b *asm.Builder)
+	}{
+		{"ldr misaligned", misaligned(2), mem(isa.LDR)},
+		{"ldrh misaligned", misaligned(1), mem(isa.LDRH)},
+		{"ldrsh misaligned", misaligned(1), mem(isa.LDRSH)},
+		{"str misaligned", misaligned(2), mem(isa.STR)},
+		{"strh misaligned", misaligned(1), mem(isa.STRH)},
+		{"ldr out of range", pastMem, mem(isa.LDR)},
+		{"ldrb out of range", pastMem, mem(isa.LDRB)},
+		{"ldrh out of range", pastMem, mem(isa.LDRH)},
+		{"ldrsb out of range", pastMem, mem(isa.LDRSB)},
+		{"ldrsh out of range", pastMem, mem(isa.LDRSH)},
+		{"str out of range", pastMem, mem(isa.STR)},
+		{"strb out of range", pastMem, mem(isa.STRB)},
+		{"strh out of range", pastMem, mem(isa.STRH)},
+		{"post-index ldr out of range", pastMem, func(b *asm.Builder) {
+			b.MemPost(isa.LDR, isa.R0, isa.R2, 4)
+		}},
+		{"push below memory", func(b *asm.Builder) { b.MovI(isa.SP, 4) }, func(b *asm.Builder) {
+			b.Push(isa.R4, isa.R5)
+		}},
+		{"pop past top", func(b *asm.Builder) { b.MovImm32(isa.SP, program.MemSize-4) }, func(b *asm.Builder) {
+			b.Pop(isa.R4, isa.R5)
+		}},
+	}
+	// The block is three fusible micro-ops entered through a branch, so
+	// it starts right after the B and ends at the halting SWI.
+	const blockLen = 3
+	for _, fc := range faults {
+		for pos, where := range []string{"first", "middle", "last"} {
+			p := build(func(b *asm.Builder) {
+				fc.setup(b)
+				b.B("block")
+				b.Label("block")
+				for i := 0; i < blockLen; i++ {
+					if i == pos {
+						fc.fault(b)
+					} else {
+						b.AddI(isa.R3, isa.R3, 1)
+					}
+				}
+			})
+			t.Run(fc.name+"/"+where, func(t *testing.T) {
+				l := WordLayout(p.TextBase, len(p.Instrs))
+				err := New(p, l).Run()
+				ee, ok := err.(*ExecError)
+				if !ok {
+					t.Fatalf("interpreter: %v, want an *ExecError", err)
+				}
+				c := Compile(p, l)
+				start := ee.Idx - pos
+				if got := int(c.fuse[start]); got != blockLen || c.fuse[start-1] != 0 {
+					t.Fatalf("fault at %d is not micro-op %d of a %d-long fused block (fuse %v)",
+						ee.Idx, pos, blockLen, c.fuse)
+				}
+				lockstepCompare(t, p, 0)
+				superblockCompare(t, p, 0)
+			})
+		}
+	}
 }
 
 // TestCompiledMismatchRejected mirrors TestDecodedMismatchRejected: a
@@ -218,25 +294,18 @@ func TestCompiledMismatchRejected(t *testing.T) {
 	p1, p2 := straightLine(4), mixedProgram()
 	l1 := WordLayout(p1.TextBase, len(p1.Instrs))
 	wrong := Compile(p2, WordLayout(p2.TextBase, len(p2.Instrs)))
-	if _, err := New(p1, l1).StepCompiled(wrong); err == nil {
-		t.Error("StepCompiled accepted a foreign table")
-	}
 	if err := New(p1, l1).RunCompiled(wrong); err == nil {
 		t.Error("RunCompiled accepted a foreign table")
-	}
-	if _, err := New(p1, l1).StepCompiled(nil); err == nil {
-		t.Error("StepCompiled accepted a nil table")
 	}
 	if err := New(p1, l1).RunCompiled(nil); err == nil {
 		t.Error("RunCompiled accepted a nil table")
 	}
 }
 
-// TestStepZeroAlloc pins the allocation guarantee on both interpreter
+// TestStepZeroAlloc pins the allocation guarantee on both stepped
 // paths: with machines constructed up front and Output pre-sized,
-// neither the legacy Step loop nor the compiled run allocates in the
-// steady state (the per-step fault closure is gone from Step, and the
-// compiled path was born without one).
+// neither the reference Step loop nor the compiled run allocates in
+// the steady state (faults build their errors out of line).
 func TestStepZeroAlloc(t *testing.T) {
 	p := mixedProgram()
 	l := WordLayout(p.TextBase, len(p.Instrs))

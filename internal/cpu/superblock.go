@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"encoding/binary"
 	"math"
 
 	"powerfits/internal/isa"
@@ -10,15 +9,16 @@ import (
 
 // This file is the superblock layer on top of the compiled micro-op
 // table: straight-line runs of unconditional, non-control-flow micro-ops
-// are chained into fused superblocks executed back to back without the
-// per-instruction dispatch overhead of stepCompiled. Within a fused
-// block there is no halt check, no budget check, no condition check, no
-// PC store and no per-instruction InstrCount update — all of that
-// bookkeeping amortizes over the whole block and is settled once at the
-// block boundary. Fall-back to the per-µop path happens at block
-// boundaries, on faults and at every control-flow exit, so execution
-// remains bit-identical to Machine.Step (pinned by the lockstep and
-// fuzz tests and the unchanged golden tables).
+// are chained into fused superblocks, and runSuperblocks hands each one
+// to exec — the same execute body stepCompiled uses — in a single call.
+// Within a fused block there is no halt check, no budget check, no
+// condition check, no PC store and no per-instruction InstrCount update
+// — all of that bookkeeping amortizes over the whole block and is
+// settled once at the block boundary. Fall-back to the per-µop
+// stepCompiled loop happens at block boundaries, on faults and at every
+// control-flow exit, so execution remains bit-identical to the
+// reference interpreter in this package's tests (pinned by the
+// lockstep and fuzz tests and the unchanged golden tables).
 //
 // Block formation is a single backward pass producing, per instruction
 // index, the length of the fusible straight-line run *starting* there.
@@ -33,8 +33,8 @@ const maxFuseLen = math.MaxUint16
 
 // fusibleKind reports whether a micro-op kind may live inside a fused
 // block. Control flow (B/BL/BX), halting and always-faulting kinds end
-// a block; memory kinds stay fusible because runFusedBlock handles
-// their faults mid-block with exact per-µop semantics.
+// a block; memory kinds stay fusible because a fault mid-block is
+// settled with exact per-µop semantics (fusedFault).
 func fusibleKind(k uint8) bool {
 	switch k {
 	case kBad, kB, kBL, kBX, kSwiHalt, kSwiBad:
@@ -66,22 +66,12 @@ func buildFuse(uops []uop) []uint16 {
 	return fuse
 }
 
-// FuseLen returns the length of the fusible straight-line run starting
-// at instruction index i (0 when i is out of range or not fusible).
-// Exposed for tests and diagnostics.
-func (c *Compiled) FuseLen(i int) int {
-	if i < 0 || i >= len(c.fuse) {
-		return 0
-	}
-	return int(c.fuse[i])
-}
-
 // RunSuperblocks executes until the program halts or the budget is
 // exhausted, dispatching fused superblocks where the program structure
 // allows and falling back to the per-µop compiled path everywhere else.
-// Semantics are bit-identical to RunCompiled (and therefore to Run):
-// same architectural state, same DynCount profile, same fault errors at
-// the same instruction.
+// Semantics are bit-identical to RunCompiled and to the reference
+// interpreter: same architectural state, same DynCount profile, same
+// fault errors at the same instruction.
 func (m *Machine) RunSuperblocks(c *Compiled) error {
 	if err := c.check(m); err != nil {
 		return err
@@ -136,6 +126,13 @@ func (m *Machine) RunSuperblocksN(c *Compiled, n uint64, touch func(lo, hi uint3
 // conditional B), and stepCompiled for everything else (predicated ops,
 // BX, bad ops, budget exhaustion and out-of-range PCs — so every error
 // message stays byte-identical to the per-µop path).
+//
+// A fused block goes to exec, the execute body stepCompiled also uses,
+// in one call and with all per-instruction bookkeeping stripped: every
+// micro-op in it is unconditional and non-control-flow and the block
+// fits the budget, so the DynCount profile is settled for the whole
+// block up front (rolled back on fault) and InstrCount and the PC
+// advance once at the end.
 func (m *Machine) runSuperblocks(c *Compiled, target uint64, touch func(lo, hi uint32)) error {
 	uops := c.uops
 	fuse := c.fuse
@@ -161,20 +158,30 @@ func (m *Machine) runSuperblocks(c *Compiled, target uint64, touch func(lo, hi u
 				rem = br
 			}
 		}
+		n := int(fuse[idx])
+		fused := n > 0 && uint64(n) <= rem
 		if touch != nil {
 			// Witness the fetch range of whatever executes next: the
 			// whole fused block when one is about to run, else the
 			// single fallback instruction.
 			last := idx
-			if n := int(fuse[idx]); n > 0 && uint64(n) <= rem {
+			if fused {
 				last = idx + n - 1
 			}
 			touch(c.addrs[idx], c.ends[last])
 		}
-		if n := int(fuse[idx]); n > 0 && uint64(n) <= rem {
-			if err := m.runFusedBlock(c, idx, n, dyn); err != nil {
-				return err
+		if fused {
+			block := uops[idx : idx+n : idx+n]
+			if dyn != nil {
+				for j := range block {
+					dyn[idx+j]++
+				}
 			}
+			if j := m.exec(block); j < n {
+				return m.fusedFault(c, idx, j, n, dyn, m.execFault(&block[j]))
+			}
+			m.InstrCount += uint64(n)
+			m.PCIdx = idx + n
 			continue
 		}
 		// rem >= 1 here, so one inline instruction is always within
@@ -234,349 +241,4 @@ func (m *Machine) fusedFault(c *Compiled, idx, j, n int, dyn []uint64, detail st
 	m.InstrCount += uint64(j) + 1
 	m.PCIdx = idx + j
 	return c.fault(idx+j, detail)
-}
-
-// runFusedBlock executes the fused block of n micro-ops starting at
-// idx. The caller has verified the block fits the instruction budget
-// and every micro-op is unconditional and non-control-flow, so the loop
-// body is the bare execute dispatch: the switch arms are stepCompiled's
-// with all per-instruction bookkeeping stripped — the DynCount profile
-// is settled for the whole block up front (rolled back on fault),
-// InstrCount and the PC advance once at the end, and the memory kinds
-// run checkAddr's range/alignment tests inline so the non-faulting path
-// makes no call per access (checkAddr itself runs only to format a
-// fault it already knows occurred).
-func (m *Machine) runFusedBlock(c *Compiled, idx, n int, dyn []uint64) error {
-	uops := c.uops[idx : idx+n : idx+n]
-	if dyn != nil {
-		for j := range uops {
-			dyn[idx+j]++
-		}
-	}
-	for j := range uops {
-		u := &uops[j]
-		switch u.Kind {
-		case kAddI:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + u.Imm
-		case kAddR:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.Regs[u.Rm&15]
-		case kAddX:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.op2shifted(u)
-		case kAdcI, kAdcR, kAdcX:
-			carry := uint32(0)
-			if m.C {
-				carry = 1
-			}
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.op2plain(u) + carry
-		case kSubI:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - u.Imm
-		case kSubR:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - m.Regs[u.Rm&15]
-		case kSubX:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - m.op2shifted(u)
-		case kSbcI, kSbcR, kSbcX:
-			carry := uint32(0)
-			if m.C {
-				carry = 1
-			}
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + ^m.op2plain(u) + carry
-		case kRsbI, kRsbR, kRsbX:
-			m.Regs[u.Rd&15] = m.op2plain(u) - m.Regs[u.Rn&15]
-
-		case kAddSI:
-			m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], u.Imm, 0)
-		case kAddSR:
-			m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 0)
-		case kAddSX:
-			m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.op2shifted(u), 0)
-		case kAdcSI, kAdcSR, kAdcSX:
-			carry := uint32(0)
-			if m.C {
-				carry = 1
-			}
-			m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.op2plain(u), carry)
-		case kSubSI:
-			m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], u.Imm, 1)
-		case kSubSR:
-			m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 1)
-		case kSubSX:
-			m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.op2shifted(u), 1)
-		case kSbcSI, kSbcSR, kSbcSX:
-			carry := uint32(0)
-			if m.C {
-				carry = 1
-			}
-			m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.op2plain(u), carry)
-		case kRsbSI, kRsbSR, kRsbSX:
-			m.Regs[u.Rd&15] = m.subFlags(m.op2plain(u), m.Regs[u.Rn&15], 1)
-		case kCmpI:
-			m.subFlags(m.Regs[u.Rn&15], u.Imm, 1)
-		case kCmpR:
-			m.subFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 1)
-		case kCmpX:
-			m.subFlags(m.Regs[u.Rn&15], m.op2shifted(u), 1)
-		case kCmnI, kCmnR, kCmnX:
-			m.addFlags(m.Regs[u.Rn&15], m.op2plain(u), 0)
-
-		case kAndI:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & u.Imm
-		case kAndR:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & m.Regs[u.Rm&15]
-		case kAndX:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & m.op2shifted(u)
-		case kOrrI:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | u.Imm
-		case kOrrR:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | m.Regs[u.Rm&15]
-		case kOrrX:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | m.op2shifted(u)
-		case kEorI:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ u.Imm
-		case kEorR:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ m.Regs[u.Rm&15]
-		case kEorX:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ m.op2shifted(u)
-		case kBicI, kBicR, kBicX:
-			m.Regs[u.Rd&15] = m.Regs[u.Rn&15] &^ m.op2plain(u)
-		case kMovI:
-			m.Regs[u.Rd&15] = u.Imm
-		case kMovR:
-			m.Regs[u.Rd&15] = m.Regs[u.Rm&15]
-		case kMovX:
-			m.Regs[u.Rd&15] = m.op2shifted(u)
-		case kMvnI, kMvnR, kMvnX:
-			m.Regs[u.Rd&15] = ^m.op2plain(u)
-
-		case kAndSI:
-			r := m.Regs[u.Rn&15] & u.Imm
-			m.setNZ(r)
-			m.Regs[u.Rd&15] = r
-		case kAndSR:
-			r := m.Regs[u.Rn&15] & m.Regs[u.Rm&15]
-			m.setNZ(r)
-			m.Regs[u.Rd&15] = r
-		case kAndSX:
-			op2, shC := m.op2shiftedCarry(u)
-			r := m.Regs[u.Rn&15] & op2
-			m.setNZ(r)
-			m.C = shC
-			m.Regs[u.Rd&15] = r
-		case kOrrSI, kOrrSR:
-			r := m.Regs[u.Rn&15] | m.op2plain(u)
-			m.setNZ(r)
-			m.Regs[u.Rd&15] = r
-		case kOrrSX:
-			op2, shC := m.op2shiftedCarry(u)
-			r := m.Regs[u.Rn&15] | op2
-			m.setNZ(r)
-			m.C = shC
-			m.Regs[u.Rd&15] = r
-		case kEorSI, kEorSR:
-			r := m.Regs[u.Rn&15] ^ m.op2plain(u)
-			m.setNZ(r)
-			m.Regs[u.Rd&15] = r
-		case kEorSX:
-			op2, shC := m.op2shiftedCarry(u)
-			r := m.Regs[u.Rn&15] ^ op2
-			m.setNZ(r)
-			m.C = shC
-			m.Regs[u.Rd&15] = r
-		case kBicSI, kBicSR:
-			r := m.Regs[u.Rn&15] &^ m.op2plain(u)
-			m.setNZ(r)
-			m.Regs[u.Rd&15] = r
-		case kBicSX:
-			op2, shC := m.op2shiftedCarry(u)
-			r := m.Regs[u.Rn&15] &^ op2
-			m.setNZ(r)
-			m.C = shC
-			m.Regs[u.Rd&15] = r
-		case kMovSI, kMovSR:
-			r := m.op2plain(u)
-			m.setNZ(r)
-			m.Regs[u.Rd&15] = r
-		case kMovSX:
-			op2, shC := m.op2shiftedCarry(u)
-			m.setNZ(op2)
-			m.C = shC
-			m.Regs[u.Rd&15] = op2
-		case kMvnSI, kMvnSR:
-			r := ^m.op2plain(u)
-			m.setNZ(r)
-			m.Regs[u.Rd&15] = r
-		case kMvnSX:
-			op2, shC := m.op2shiftedCarry(u)
-			r := ^op2
-			m.setNZ(r)
-			m.C = shC
-			m.Regs[u.Rd&15] = r
-		case kTstI:
-			m.setNZ(m.Regs[u.Rn&15] & u.Imm)
-		case kTstR:
-			m.setNZ(m.Regs[u.Rn&15] & m.Regs[u.Rm&15])
-		case kTstX:
-			op2, shC := m.op2shiftedCarry(u)
-			m.setNZ(m.Regs[u.Rn&15] & op2)
-			m.C = shC
-		case kTeqI, kTeqR:
-			m.setNZ(m.Regs[u.Rn&15] ^ m.op2plain(u))
-		case kTeqX:
-			op2, shC := m.op2shiftedCarry(u)
-			m.setNZ(m.Regs[u.Rn&15] ^ op2)
-			m.C = shC
-
-		case kMul:
-			m.Regs[u.Rd&15] = m.Regs[u.Rm&15] * m.Regs[u.Rs&15]
-		case kMulS:
-			r := m.Regs[u.Rm&15] * m.Regs[u.Rs&15]
-			m.setNZ(r)
-			m.Regs[u.Rd&15] = r
-		case kMla:
-			m.Regs[u.Rd&15] = m.Regs[u.Rm&15]*m.Regs[u.Rs&15] + m.Regs[u.Rn&15]
-		case kMlaS:
-			r := m.Regs[u.Rm&15]*m.Regs[u.Rs&15] + m.Regs[u.Rn&15]
-			m.setNZ(r)
-			m.Regs[u.Rd&15] = r
-
-		case kQadd:
-			m.Regs[u.Rd&15] = satAdd(m.Regs[u.Rn&15], m.Regs[u.Rm&15])
-		case kQsub:
-			m.Regs[u.Rd&15] = satAdd(m.Regs[u.Rn&15], uint32(-int32(m.Regs[u.Rm&15])))
-		case kClz:
-			m.Regs[u.Rd&15] = clz32(m.Regs[u.Rm&15])
-		case kRev:
-			v := m.Regs[u.Rm&15]
-			m.Regs[u.Rd&15] = v<<24 | v>>24 | v<<8&0xff0000 | v>>8&0xff00
-		case kMin:
-			a, b := int32(m.Regs[u.Rn&15]), int32(m.Regs[u.Rm&15])
-			if b < a {
-				a = b
-			}
-			m.Regs[u.Rd&15] = uint32(a)
-		case kMax:
-			a, b := int32(m.Regs[u.Rn&15]), int32(m.Regs[u.Rm&15])
-			if b > a {
-				a = b
-			}
-			m.Regs[u.Rd&15] = uint32(a)
-
-		case kLdr:
-			ea, wb := m.effAddrC(u)
-			if uint64(ea)+4 > uint64(len(m.Mem)) || ea&3 != 0 {
-				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 4))
-			}
-			m.Regs[u.Rd&15] = binary.LittleEndian.Uint32(m.Mem[ea:])
-			if wb {
-				m.Regs[u.Rn&15] += u.Imm
-			}
-		case kLdrb:
-			ea, wb := m.effAddrC(u)
-			if uint64(ea) >= uint64(len(m.Mem)) {
-				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 1))
-			}
-			m.Regs[u.Rd&15] = uint32(m.Mem[ea])
-			if wb {
-				m.Regs[u.Rn&15] += u.Imm
-			}
-		case kLdrh:
-			ea, wb := m.effAddrC(u)
-			if uint64(ea)+2 > uint64(len(m.Mem)) || ea&1 != 0 {
-				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 2))
-			}
-			m.Regs[u.Rd&15] = uint32(binary.LittleEndian.Uint16(m.Mem[ea:]))
-			if wb {
-				m.Regs[u.Rn&15] += u.Imm
-			}
-		case kLdrsb:
-			ea, wb := m.effAddrC(u)
-			if uint64(ea) >= uint64(len(m.Mem)) {
-				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 1))
-			}
-			m.Regs[u.Rd&15] = uint32(int32(int8(m.Mem[ea])))
-			if wb {
-				m.Regs[u.Rn&15] += u.Imm
-			}
-		case kLdrsh:
-			ea, wb := m.effAddrC(u)
-			if uint64(ea)+2 > uint64(len(m.Mem)) || ea&1 != 0 {
-				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 2))
-			}
-			m.Regs[u.Rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(m.Mem[ea:]))))
-			if wb {
-				m.Regs[u.Rn&15] += u.Imm
-			}
-		case kStr:
-			ea, wb := m.effAddrC(u)
-			if uint64(ea)+4 > uint64(len(m.Mem)) || ea&3 != 0 {
-				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 4))
-			}
-			binary.LittleEndian.PutUint32(m.Mem[ea:], m.Regs[u.Rd&15])
-			if wb {
-				m.Regs[u.Rn&15] += u.Imm
-			}
-		case kStrb:
-			ea, wb := m.effAddrC(u)
-			if uint64(ea) >= uint64(len(m.Mem)) {
-				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 1))
-			}
-			m.Mem[ea] = byte(m.Regs[u.Rd&15])
-			if wb {
-				m.Regs[u.Rn&15] += u.Imm
-			}
-		case kStrh:
-			ea, wb := m.effAddrC(u)
-			if uint64(ea)+2 > uint64(len(m.Mem)) || ea&1 != 0 {
-				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 2))
-			}
-			binary.LittleEndian.PutUint16(m.Mem[ea:], uint16(m.Regs[u.Rd&15]))
-			if wb {
-				m.Regs[u.Rn&15] += u.Imm
-			}
-
-		case kLdc:
-			m.Regs[u.Rd&15] = u.Imm
-
-		case kPush:
-			sp := m.Regs[isa.SP] - u.Imm
-			if d := m.checkAddr(sp, int(u.Imm)); d != "" {
-				return m.fusedFault(c, idx, j, n, dyn, d)
-			}
-			a := sp
-			list := uint16(u.Aux)
-			for r := isa.Reg(0); r < isa.NumRegs; r++ {
-				if list&(1<<r) != 0 {
-					binary.LittleEndian.PutUint32(m.Mem[a:], m.Regs[r])
-					a += 4
-				}
-			}
-			m.Regs[isa.SP] = sp
-		case kPop:
-			sp := m.Regs[isa.SP]
-			if d := m.checkAddr(sp, int(u.Imm)); d != "" {
-				return m.fusedFault(c, idx, j, n, dyn, d)
-			}
-			a := sp
-			list := uint16(u.Aux)
-			for r := isa.Reg(0); r < isa.NumRegs; r++ {
-				if list&(1<<r) != 0 {
-					m.Regs[r] = binary.LittleEndian.Uint32(m.Mem[a:])
-					a += 4
-				}
-			}
-			m.Regs[isa.SP] = sp + u.Imm
-
-		case kSwiEmit:
-			m.Output = append(m.Output, m.Regs[isa.R0])
-
-		case kNop:
-			// nothing
-		default:
-			// Unreachable for well-formed fuse tables (non-fusible kinds
-			// never enter a block); mirrors stepCompiled's default arm.
-			return m.fusedFault(c, idx, j, n, dyn, "unimplemented op")
-		}
-	}
-	m.InstrCount += uint64(n)
-	m.PCIdx = idx + n
-	return nil
 }

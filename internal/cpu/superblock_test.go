@@ -102,16 +102,13 @@ func TestSuperblockFuseTable(t *testing.T) {
 	p := b.MustBuild()
 	c := Compile(p, WordLayout(p.TextBase, len(p.Instrs)))
 	want := []int{2, 1, 0, 2, 1, 0}
+	if len(c.fuse) != len(want) {
+		t.Fatalf("fuse table has %d entries, want %d", len(c.fuse), len(want))
+	}
 	for i, w := range want {
-		if got := c.FuseLen(i); got != w {
-			t.Errorf("FuseLen(%d) = %d, want %d", i, got, w)
+		if got := int(c.fuse[i]); got != w {
+			t.Errorf("fuse[%d] = %d, want %d", i, got, w)
 		}
-	}
-	if got := c.FuseLen(-1); got != 0 {
-		t.Errorf("FuseLen(-1) = %d, want 0", got)
-	}
-	if got := c.FuseLen(len(p.Instrs)); got != 0 {
-		t.Errorf("FuseLen(len) = %d, want 0", got)
 	}
 }
 
@@ -136,7 +133,7 @@ func TestSuperblockBudgetBoundary(t *testing.T) {
 	}
 	p := build()
 	c := Compile(p, WordLayout(p.TextBase, len(p.Instrs)))
-	if got := c.FuseLen(0); got != 8 {
+	if got := int(c.fuse[0]); got != 8 {
 		t.Fatalf("entry fuse length = %d, want 8", got)
 	}
 	for _, max := range []uint64{1, 4, 7, 8, 9} {
@@ -169,7 +166,7 @@ func TestSuperblockFaultMidBlock(t *testing.T) {
 	b.Exit()
 	p := b.MustBuild()
 	c := Compile(p, WordLayout(p.TextBase, len(p.Instrs)))
-	if got := c.FuseLen(0); got < 5 {
+	if got := int(c.fuse[0]); got < 5 {
 		t.Fatalf("entry fuse length = %d, want the faulting load inside one block", got)
 	}
 	superblockCompare(t, p, 0)
